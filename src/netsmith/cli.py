@@ -190,9 +190,7 @@ def cmd_gain(args) -> int:
 
 def cmd_oracle(args) -> int:
     protocol = Protocol(args.protocol, selector=args.selector)
-    extra = {} if args.budget is None else {"budget": args.budget}
-    result = oracle_gain(protocol, args.tau_max, args.horizon,
-                         workers=args.workers, **extra)
+    result = oracle_gain(protocol, args.tau_max, args.horizon)
     config = _config_dict("oracle", args)
     alpha = alpha_formula(protocol, args.tau_max)
     lines = ["T,alpha_T,alpha_analytic",
@@ -335,18 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gain)
 
     o = sub.add_parser("oracle",
-                       help="exhaustive finite-horizon worst-case channel gain")
+                       help="exact finite-horizon worst-case channel gain "
+                            "(dynamic program over packet delays)")
     o.add_argument("--protocol", choices=PROTOCOL_KINDS, required=True)
     o.add_argument("--tau-max", type=int, required=True,
                    help="residual delay bound")
     o.add_argument("--horizon", type=int, required=True,
                    help="last driven step T; mismatch energy is summed to T+2*tau")
     o.add_argument("--selector", choices=P3_SELECTORS, default="oldest",
-                   help="packet selector for the third protocol (default oldest)")
-    o.add_argument("--budget", type=int, default=None,
-                   help="refuse enumerations larger than this many traces")
-    o.add_argument("--workers", type=int, default=None,
-                   help="process count for the enumeration (default serial)")
+                   help="packet selector for the third protocol (default "
+                        "oldest; random has no worst case and is refused)")
     o.add_argument("--trace-out", default=None, metavar="CSV",
                    help="write a maximizing delay trace")
     o.add_argument("-o", "--output", default=None)

@@ -9,23 +9,19 @@ selection protocol; this module provides
   * the closed-form protocol gains alpha(protocol, tau_bar),
   * the adversarial delay pattern and the block-sum evaluation of the
     worst-case squared norm,
-  * a brute-force oracle that enumerates every admissible delay
+  * an exact oracle, a dynamic program over packets in send order whose
+    cost is linear in T, that maximizes over every admissible delay
     assignment (and, for p3, packet selections) to validate both,
   * a convergence table alpha_T -> alpha on the aligned horizon grid.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-import io
 import math
 
 import numpy as np
 
 from .packet_channel import PacketTrace, Protocol, worst_case_trace
-
-ORACLE_BUDGET_DEFAULT = 1_000_000_000
-ORACLE_CHUNK_DEFAULT = 1 << 15
 
 
 def _as_protocol(protocol) -> Protocol:
@@ -113,7 +109,7 @@ def alpha_T_closed_form(tau_bar: int, T: int, v_bar: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of the exhaustive search: the gain and a maximizing trace."""
+    """Outcome of the worst-case search: the gain and a maximizing trace."""
     protocol: Protocol
     tau_bar: int
     T: int
@@ -128,115 +124,99 @@ def _tail_delays(tau_bar: int, T: int) -> list:
     return [tau_bar - (j % (tau_bar + 1)) for j in range(T + 1, T + 2 * tau_bar + 1)]
 
 
-def _eval_chunk(args):
-    """Score one contiguous block of mixed-radix delay assignments.
+def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleResult:
+    """Exact worst-case gain over all admissible delay assignments.
 
-    Returns (best squared norm, index of the best assignment).  Head
-    digit 0 is the most significant, so assignment index order is
-    lexicographic order of the delay tuples.
-    """
-    kind, selector, tau_bar, T, v_bar, start, stop = args
-    tb = tau_bar
-    n_head = T + 1
-    radix = tb + 1
-    idx = np.arange(start, stop, dtype=np.int64)
-    m = idx.size
-    digits = np.empty((m, n_head), dtype=np.int64)
-    rem = idx.copy()
-    for j in range(n_head - 1, -1, -1):
-        digits[:, j] = rem % radix
-        rem //= radix
-    jgrid = np.arange(n_head, dtype=np.int64)
-    arrive = digits + jgrid
+    The maximum ranges over every head assignment, (tau_bar+1)**(T+1) of
+    them; packets sent after the input stops (j = T+1 .. T+2 tau_bar)
+    carry the adversarial continuation delays, which cannot lower the
+    maximum since any burst they join only extends an existing hold.
 
-    horizon = T + 2 * tb
-    a = _ramp(T, v_bar, horizon + 1)
-    a_pad = np.concatenate([[0.0], a])
+    The mismatch energy is a sum over receive instants, so the maximum
+    is a dynamic program over packets in send order j = 0..T+2 tau_bar.
+    The state before packet j is the held index (-1 while holding zero)
+    and the arrival instant of each of packets j-tau_bar..j-1 still in
+    flight.  Once tau_j is chosen no later packet can arrive at instant
+    j, so the protocol is applied there and (a_j - a_held)^2 is added.
+    A forward sweep lists the reachable states, a backward sweep gives
+    each state's value-to-go, and a second forward sweep takes at every
+    j the smallest tau_j that attains it.  The ramp is kept in integers
+    (v_bar = 1) and scaled by v_bar^2 at the end, so ties are exact.
+    Cost: at most (2 tau_bar + 2)(tau_bar + 1)! states per packet, each
+    with tau_bar+1 moves, so the work is linear in T.
 
-    tail_min = {}
-    tail_max = {}
-    for j, t in enumerate(_tail_delays(tb, T), start=T + 1):
-        p = j + t
-        tail_min[p] = min(tail_min.get(p, j), j)
-        tail_max[p] = max(tail_max.get(p, j), j)
+    Selection rules: p1 takes the newest arrival if it is newer than the
+    held index; p2 and p3 with the ``newest`` selector take the newest
+    arrival, as ``run_channel`` does.  For p3 with the ``oldest``
+    selector the packet choice is part of the maximization: with a
+    non-decreasing ramp, always choosing the oldest arrival is pointwise
+    optimal.  A ``random`` p3 selector has no worst case over delays
+    alone and raises ValueError.
 
-    BIG = np.int64(1 << 40)
-    held = np.full(m, -1, dtype=np.int64)
-    acc = np.zeros(m)
-    oldest = kind == "p3" and selector == "oldest"
-    for p in range(horizon + 1):
-        hit = arrive == p
-        if oldest:
-            cand = np.min(np.where(hit, jgrid, BIG), axis=1)
-            if p in tail_min:
-                cand = np.minimum(cand, tail_min[p])
-            held = np.where(cand < BIG, cand, held)
-        else:
-            cand = np.max(np.where(hit, jgrid, -1), axis=1)
-            if p in tail_max:
-                cand = np.maximum(cand, tail_max[p])
-            if kind == "p1":
-                held = np.where(cand > held, cand, held)
-            else:
-                held = np.where(cand >= 0, cand, held)
-        acc += (a[p] - a_pad[held + 1]) ** 2
-    best = int(np.argmax(acc))
-    return float(acc[best]), start + best
-
-
-def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0,
-                budget: int = ORACLE_BUDGET_DEFAULT,
-                chunk_size: int = ORACLE_CHUNK_DEFAULT,
-                workers: int | None = None) -> OracleResult:
-    """Exhaustive worst-case gain over all admissible delay assignments.
-
-    Enumerates every head assignment (tau_bar+1)**(T+1); packets sent
-    after the input stops (j = T+1 .. T+2 tau_bar) carry the adversarial
-    continuation delays, which cannot lower the maximum since any burst
-    they join only extends an existing hold.  For p3 the packet selection
-    is part of the maximization: with a non-decreasing ramp, always
-    choosing the oldest arrival is pointwise optimal, so no extra
-    branching is needed.  Ties resolve to the lexicographically smallest
-    delay tuple.
-
-    Raises ValueError when the assignment count exceeds ``budget``.
+    Ties resolve to the lexicographically smallest head delay tuple.
+    ``evaluations`` is the number of head assignments the maximum ranges
+    over, not the work done.
     """
     protocol = _as_protocol(protocol)
+    if protocol.kind == "p3" and protocol.selector == "random":
+        raise ValueError("the oracle needs a deterministic p3 selector "
+                         "(oldest or newest), not random")
     if tau_bar < 0:
         raise ValueError("tau_bar must be non-negative")
     if T < 0:
         raise ValueError("horizon must be non-negative")
-    if tau_bar == 0:
-        trace = PacketTrace((0,) * (T + 1), 0, 0)
-        return OracleResult(protocol, 0, T, v_bar, 0.0, 0.0, trace, 1)
-    total = (tau_bar + 1) ** (T + 1)
-    if total > budget:
-        raise ValueError(
-            f"oracle space of {total} delay assignments exceeds the budget {budget}")
+    tb = tau_bar
+    oldest = protocol.kind == "p3" and protocol.selector == "oldest"
+    fresh_only = protocol.kind == "p1"
+    # ramp[-1] = 0 is the value held before the first packet is used
+    ramp = [min(k + 1, T + 1) for k in range(T + 2 * tb + 1)] + [0]
+    moves = [range(tb + 1)] * (T + 1) + [(t,) for t in _tail_delays(tb, T)]
 
-    starts = list(range(0, total, chunk_size))
-    jobs = [(protocol.kind, protocol.selector, tau_bar, T, v_bar,
-             s, min(s + chunk_size, total)) for s in starts]
-    if workers and workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_chunk, jobs))
-    else:
-        results = [_eval_chunk(job) for job in jobs]
-    best_sq, best_idx = results[0]
-    for sq, idx in results[1:]:
-        if sq > best_sq:
-            best_sq, best_idx = sq, idx
+    # an in-flight arrival of -1 marks a packet already used up or not sent
+    start = (-1, (-1,) * tb)
+    layers = []
+    states = {start}
+    for j, delays in enumerate(moves):
+        edges = {}
+        for held, flight in states:
+            out = []
+            for t in delays:
+                arrive = flight + (j + t,)
+                hits = [j - tb + i for i, p in enumerate(arrive) if p == j]
+                new = held
+                if hits:
+                    if oldest:
+                        new = hits[0]
+                    elif not fresh_only or hits[-1] > held:
+                        new = hits[-1]
+                nxt = (new, tuple(p if p > j else -1 for p in arrive[1:]))
+                out.append((t, (ramp[j] - ramp[new]) ** 2, nxt))
+            edges[(held, flight)] = out
+        layers.append(edges)
+        states = {nxt for out in edges.values() for _, _, nxt in out}
 
-    radix = tau_bar + 1
+    values = [dict.fromkeys(states, 0)]
+    for edges in reversed(layers):
+        later = values[-1]
+        values.append({s: max(c + later[nxt] for _, c, nxt in out)
+                       for s, out in edges.items()})
+    values.reverse()
+
     head = []
-    rem = best_idx
-    for _ in range(T + 1):
-        head.append(rem % radix)
-        rem //= radix
-    head.reverse()
-    trace = PacketTrace(tuple(head), 0, tau_bar)
-    alpha_T = math.sqrt(best_sq / ((T + 1) * v_bar**2))
-    return OracleResult(protocol, tau_bar, T, v_bar, alpha_T, best_sq, trace, total)
+    state = start
+    for j in range(T + 1):
+        later = values[j + 1]
+        goal = values[j][state]
+        for t, c, nxt in layers[j][state]:
+            if c + later[nxt] == goal:
+                head.append(t)
+                state = nxt
+                break
+
+    best = values[0][start]
+    trace = PacketTrace(tuple(head), 0, tb)
+    return OracleResult(protocol, tb, T, v_bar, math.sqrt(best / (T + 1)),
+                        best * v_bar**2, trace, (tb + 1) ** (T + 1))
 
 
 def alpha_asymptote_check(tau_bar: int, T_max: int, v_bar: float = 1.0) -> list:
@@ -272,53 +252,3 @@ def alpha_asymptote_check(tau_bar: int, T_max: int, v_bar: float = 1.0) -> list:
         })
         T += tau_bar + 1
     return rows
-
-
-@dataclass(frozen=True)
-class GainReport:
-    """Tabulated alpha_T values against the analytic gain for one protocol."""
-    protocol: Protocol
-    tau_bar: int
-    alpha_analytic: float
-    alpha_T: tuple
-    oracle_used: bool
-
-    def __post_init__(self):
-        for T, val in self.alpha_T:
-            if val < 0:
-                raise ValueError(f"alpha_T at T={T} is negative")
-            if val > self.alpha_analytic + 1e-9:
-                raise ValueError(
-                    f"alpha_T={val} at T={T} exceeds the analytic gain "
-                    f"{self.alpha_analytic}")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("T,alpha_T,alpha_analytic\n")
-        for T, val in self.alpha_T:
-            buf.write(f"{T},{val:.17g},{self.alpha_analytic:.17g}\n")
-        return buf.getvalue()
-
-
-def gain_report(protocol, tau_bar: int, horizons, use_oracle: bool = False,
-                v_bar: float = 1.0, budget: int = ORACLE_BUDGET_DEFAULT,
-                workers: int | None = None) -> GainReport:
-    """Build a GainReport over the given horizons.
-
-    With ``use_oracle`` the values come from the exhaustive search under
-    the stated protocol; otherwise from the closed-form worst-case norm,
-    which tabulates the p3 adversarial gain.
-    """
-    protocol = _as_protocol(protocol)
-    pairs = []
-    for T in horizons:
-        if use_oracle:
-            val = oracle_gain(protocol, tau_bar, T, v_bar, budget=budget,
-                              workers=workers).alpha_T
-        elif tau_bar == 0:
-            val = 0.0
-        else:
-            val = alpha_T_closed_form(tau_bar, T, v_bar)
-        pairs.append((int(T), val))
-    analytic = alpha_formula("p3" if not use_oracle else protocol, tau_bar)
-    return GainReport(protocol, tau_bar, analytic, tuple(pairs), use_oracle)

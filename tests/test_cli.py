@@ -131,10 +131,11 @@ def test_oracle_trace_output(tmp_path, capsys):
     assert (tmp_path / "o.csv.manifest.json").exists()
 
 
-def test_oracle_budget_violation_is_usage_error(capsys):
-    rc = main(["oracle", "--protocol", "p3", "--tau-max", "3", "--horizon", "20",
-               "--budget", "1000"])
+def test_oracle_random_selector_is_usage_error(capsys):
+    rc = main(["oracle", "--protocol", "p3", "--tau-max", "2", "--horizon", "6",
+               "--selector", "random"])
     assert rc == 2
+    assert "random" in capsys.readouterr().err
 
 
 def test_simulate_deterministic_reruns(design_file, tmp_path):

@@ -1,8 +1,8 @@
-"""Channel gain formulas and the exhaustive worst-case oracle.
+"""Channel gain formulas and the exact worst-case oracle.
 
 The reference oracle below enumerates every admissible delay trace in
 plain Python and folds the channel through the packet_channel module, so
-it shares no code with the vectorized enumeration under test.
+it shares no code with the dynamic program under test.
 """
 
 import itertools
@@ -11,26 +11,29 @@ import math
 import numpy as np
 import pytest
 
-from netsmith.gain_analysis import (GainReport, alpha_T_closed_form,
-                                    alpha_asymptote_check, alpha_formula,
-                                    full_block_energy, gain_report, oracle_gain,
+from netsmith.gain_analysis import (alpha_T_closed_form, alpha_asymptote_check,
+                                    alpha_formula, full_block_energy, oracle_gain,
                                     worst_case_norm, worst_case_pattern)
 from netsmith.packet_channel import PacketTrace, Protocol, run_channel
 
 
 def _reference_oracle(kind, selector, tau_bar, T):
-    """Exhaustive search over delay traces, folded independently."""
+    """Exhaustive search over delay traces, folded independently.
+
+    Returns the gain and the lexicographically smallest maximizing head.
+    """
     n = T + 2 * tau_bar + 1
     a = np.array([min(k + 1, T + 1) for k in range(n)], dtype=float)
     tail = [tau_bar - (j % (tau_bar + 1)) for j in range(T + 1, n)]
     proto = Protocol(kind, selector=selector)
-    best = -1.0
+    best, argmax = -1.0, None
     for head in itertools.product(range(tau_bar + 1), repeat=T + 1):
         tr = PacketTrace(tuple(head) + tuple(tail), 0, tau_bar)
         held = run_channel(a, tr, proto)[:n]
         acc = float(np.sum((a - held) ** 2))
-        best = max(best, acc)
-    return math.sqrt(best / (T + 1))
+        if acc > best:
+            best, argmax = acc, head
+    return math.sqrt(best / (T + 1)), argmax
 
 
 def test_alpha_p1_is_the_delay_bound():
@@ -98,10 +101,13 @@ def test_closed_form_matches_pattern_fold():
 @pytest.mark.parametrize("kind,selector", [("p1", "oldest"), ("p2", "oldest"),
                                            ("p3", "oldest"), ("p3", "newest")])
 def test_oracle_matches_reference_enumeration(kind, selector):
-    for tau_bar, T in [(1, 2), (1, 4), (2, 3)]:
-        res = oracle_gain(Protocol(kind, selector=selector), tau_bar, T)
-        ref = _reference_oracle(kind, selector, tau_bar, T)
-        assert res.alpha_T == pytest.approx(ref, abs=1e-9)
+    for tau_bar, t_max in ((1, 6), (2, 4), (3, 3)):
+        for T in range(t_max + 1):
+            res = oracle_gain(Protocol(kind, selector=selector), tau_bar, T)
+            ref, head = _reference_oracle(kind, selector, tau_bar, T)
+            assert res.alpha_T == pytest.approx(ref, abs=1e-12)
+            assert res.trace.delays == head
+            assert res.evaluations == (tau_bar + 1) ** (T + 1)
 
 
 def test_oracle_argmax_trace_reproduces_its_norm():
@@ -132,16 +138,20 @@ def test_oracle_zero_delay_shortcut():
     assert res.evaluations == 1
 
 
-def test_oracle_budget_refusal():
-    with pytest.raises(ValueError, match="budget"):
-        oracle_gain(Protocol("p3"), 3, 20, budget=1000)
+def test_oracle_rejects_random_selector():
+    with pytest.raises(ValueError, match="random"):
+        oracle_gain(Protocol("p3", selector="random"), 2, 6)
 
 
-def test_oracle_parallel_matches_serial():
-    ser = oracle_gain(Protocol("p3"), 2, 5)
-    par = oracle_gain(Protocol("p3"), 2, 5, workers=2)
-    assert par.alpha_T == ser.alpha_T
-    assert par.trace.delays == ser.trace.delays
+def test_oracle_long_horizons_meet_the_formulas():
+    # horizons far beyond what enumeration of (tau_bar+1)**(T+1) reaches
+    res = oracle_gain(Protocol("p3"), 2, 200)
+    assert res.alpha_T == pytest.approx(alpha_T_closed_form(2, 200), abs=1e-12)
+    assert res.alpha_T == pytest.approx(3.0995104733, abs=1e-10)
+    for kind in ("p1", "p2"):
+        for tau_bar in (1, 2, 3):
+            res = oracle_gain(Protocol(kind), tau_bar, 60)
+            assert res.alpha_T <= alpha_formula(Protocol(kind), tau_bar) + 1e-9
 
 
 def test_asymptote_table_converges_and_is_monotone():
@@ -155,21 +165,3 @@ def test_asymptote_table_converges_and_is_monotone():
     for r in rows:
         assert r["ramp_term"] + r["rest_term"] == pytest.approx(
             r["alpha_T"] ** 2, rel=1e-12)
-
-
-def test_gain_report_enforces_soundness():
-    proto = Protocol("p3")
-    with pytest.raises(ValueError):
-        GainReport(protocol=proto, tau_bar=1,
-                   alpha_analytic=alpha_formula(proto, 1),
-                   alpha_T=((4, 99.0),), oracle_used=False)
-
-
-def test_gain_report_csv():
-    rep = gain_report(Protocol("p3"), 1, horizons=(2, 4))
-    text = rep.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "T,alpha_T,alpha_analytic"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert float(first[1]) == pytest.approx(math.sqrt(2.0), abs=1e-12)
