@@ -70,13 +70,31 @@ def _strictly_proper(ss: StateSpace, what: str) -> StateSpace:
     return ss
 
 
-def assemble_augmented(design: PredictorDesign) -> AugmentedModel:
-    """Realize P_hat, H, F, C and stack them into (A_tilde, A_d_tilde).
+@dataclass(frozen=True)
+class _StackedLoop:
+    """The predictor loop on xi = (x, x_H, x_F, x_C) with the controller's
+    measurement y_hat left open as an input:
 
-    The plant and prediction block must be strictly proper; the filter
-    and controller may carry direct terms d_F, d_C.  A static plant
-    (order 0) is rejected since the loop state would be empty.
+        xi_{k+1} = A xi_k + g y_hat_k + b_ref r_V,k + b_dist w_k
+
+    Row i of ``rows`` is the output row c of block i (P_hat, H, F, C) on
+    its own columns.  With the plant output rows[0] xi, closing the loop by
+    y_hat_k = rows[0] xi_{k - d_hat - tau_k} gives A_d_tilde = g (x) rows[0];
+    the other readouts are y_H = rows[1] xi, y_F = rows[2] xi + d_F y_hat
+    and u = rows[3] xi + d_C (r_V - y_F - y_H).
     """
+    A: np.ndarray
+    g: np.ndarray
+    b_ref: np.ndarray
+    b_dist: np.ndarray
+    rows: np.ndarray
+    d_F: float
+    d_C: float
+    block_orders: tuple
+
+
+def _stacked_loop(design: PredictorDesign) -> _StackedLoop:
+    """Realize P_hat, H, F, C on the stacked state; see assemble_augmented."""
     sp = _strictly_proper(realize(design.plant_nominal), "plant")
     sh = _strictly_proper(realize(design.predictor_block), "prediction block")
     sf = realize(design.filter)
@@ -101,11 +119,11 @@ def assemble_augmented(design: PredictorDesign) -> AugmentedModel:
     A[s[3], s[2]] = -np.outer(sc.b, sf.c)
     A[s[3], s[3]] = sc.A
 
-    Ad = np.zeros((nxi, nxi))
-    Ad[s[0], s[0]] = -np.outer(sp.b, sc.d * sf.d * sp.c)
-    Ad[s[1], s[0]] = -np.outer(sh.b, sc.d * sf.d * sp.c)
-    Ad[s[2], s[0]] = np.outer(sf.b, sp.c)
-    Ad[s[3], s[0]] = -np.outer(sc.b, sf.d * sp.c)
+    g = np.zeros(nxi)
+    g[s[0]] = -sp.b * (sc.d * sf.d)
+    g[s[1]] = -sh.b * (sc.d * sf.d)
+    g[s[2]] = sf.b
+    g[s[3]] = -sc.b * sf.d
 
     b_ref = np.zeros(nxi)
     b_ref[s[0]] = sp.b * sc.d
@@ -113,15 +131,31 @@ def assemble_augmented(design: PredictorDesign) -> AugmentedModel:
     b_ref[s[3]] = sc.b
     b_dist = np.zeros(nxi)
     b_dist[s[0]] = sp.b
-    c_row = np.zeros(nxi)
-    c_row[s[0]] = sp.c
+    rows = np.zeros((4, nxi))
+    for i, ss in enumerate((sp, sh, sf, sc)):
+        rows[i, s[i]] = ss.c
+    return _StackedLoop(A=A, g=g, b_ref=b_ref, b_dist=b_dist, rows=rows,
+                        d_F=sf.d, d_C=sc.d, block_orders=(n, nh, nf, nc))
 
-    return AugmentedModel(A_tilde=A, A_d_tilde=Ad, n_xi=nxi,
+
+def assemble_augmented(design: PredictorDesign) -> AugmentedModel:
+    """Realize P_hat, H, F, C and stack them into (A_tilde, A_d_tilde).
+
+    The plant and prediction block must be strictly proper; the filter
+    and controller may carry direct terms d_F, d_C.  A static plant
+    (order 0) is rejected since the loop state would be empty.
+    """
+    loop = _stacked_loop(design)
+    n = loop.block_orders[0]
+    Ad = np.zeros_like(loop.A)
+    Ad[:, :n] = np.outer(loop.g, loop.rows[0, :n])
+    return AugmentedModel(A_tilde=loop.A, A_d_tilde=Ad, n_xi=loop.A.shape[0],
                           d_hat=design.d_hat, tau_n_min=design.tau_n_min,
                           tau_n_max=design.tau_n_max,
-                          block_orders=(n, nh, nf, nc),
-                          input_reference=b_ref, input_disturbance=b_dist,
-                          output_row=c_row)
+                          block_orders=loop.block_orders,
+                          input_reference=loop.b_ref,
+                          input_disturbance=loop.b_dist,
+                          output_row=loop.rows[0])
 
 
 @dataclass(frozen=True)

@@ -384,17 +384,6 @@ class StateSpace:
     def zero_state(self) -> np.ndarray:
         return np.zeros(self.order)
 
-    def to_tf(self) -> RationalTF:
-        """Transfer function c (zI - A)^{-1} b + d."""
-        if self.order == 0:
-            return RationalTF.constant(self.d, self.h)
-        den = np.poly(self.A)
-        # num(z) = den(z) * (c (zI-A)^{-1} b + d) via char poly of A - b c / d trick
-        # computed directly: num = charpoly(A - b c) - (1 - d) charpoly(A) gives
-        # c adj(zI-A) b + d den(z) for the SISO case.
-        num = np.poly(self.A - np.outer(self.b, self.c)) - (1.0 - self.d) * den
-        return RationalTF(num, den, self.h)
-
 
 def realize(g: RationalTF, tol: float = REALIZE_CANCEL_TOL) -> StateSpace:
     """Controllable canonical realization after pole-zero cancellation.

@@ -113,11 +113,6 @@ def worst_case_trace(n: int, tau_bar: int) -> PacketTrace:
     return PacketTrace(delays, 0, tau_bar)
 
 
-def receive_set(trace: PacketTrace, p: int) -> list:
-    """Indices of all packets arriving exactly at instant p, ascending."""
-    return [j for j in range(len(trace)) if j + trace.delays[j] == p]
-
-
 @dataclass
 class ChannelState:
     """Mutable receiver state: hold value, last used index, in-flight packets."""

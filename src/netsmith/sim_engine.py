@@ -13,18 +13,20 @@ Two models of the same loop:
                  a protocol that re-uses stale packets can destabilize a
                  loop whose sample-delay abstraction is perfectly tame.
 
-All states start at zero.  The simulation declares divergence when the
-measured output magnitude crosses DIVERGENCE_LIMIT and stops recording
-at that step.
+Both models run through one per-step loop on the stacked state
+xi = (x, x_H, x_F, x_C) that lmi_assembly lays out; they differ only in
+where the controller's measurement y_hat comes from.  All states start at
+zero.  The simulation declares divergence when the measured output
+magnitude crosses DIVERGENCE_LIMIT and stops recording at that step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import io
 
 import numpy as np
 
-from .lmi_assembly import AugmentedModel, assemble_augmented
+from .lmi_assembly import AugmentedModel, _stacked_loop
 from .lti_core import realize
 from .packet_channel import ChannelState, PacketTrace, Protocol, channel_step
 from .smith_design import PredictorDesign
@@ -101,74 +103,71 @@ def _padded(seq, n: int) -> np.ndarray:
 def simulate(scenario: SimScenario) -> SimTrace:
     """Run the scenario and return the recorded trace.
 
-    Packetized loop, per step k: the measured output y_k (the delay-free
-    plant output lagged d_hat samples) is sent as packet k; the channel
-    delivers and selects y_hat; the filter output y_F (driven by y_hat)
-    and predictor output y_H (driven by u) are subtracted from the
-    prefiltered reference to form the tracking error; the controller
-    yields u_k; the disturbance adds at the plant input.
+    Both models step xi_{k+1} = A_tilde xi_k + g y_hat_k + b_ref r_V,k +
+    b_dist w_k on the stacked state of lmi_assembly, with r_V the
+    prefiltered reference and w the plant-input disturbance, and send the
+    measured output y_k = out_row xi_{k-d_hat} as packet k.  They differ
+    only in y_hat_k: the packetized loop takes what the channel selects,
+    the sample-delay loop takes out_row xi_{k-d_hat-tau_k}.  y_F, y_H and
+    u are read out of the state history afterwards.  The sample-delay
+    model has no channel, so its u, y_hat, y_F, y_H are NaN and its
+    selected_index is -1.
     """
-    if scenario.model == "sample_delay":
-        return _simulate_sample_delay_scenario(scenario)
     design = scenario.design
-    sp = realize(design.plant_nominal)
-    sh = realize(design.predictor_block)
-    sf = realize(design.filter)
-    sc = realize(design.controller)
+    loop = _stacked_loop(design)
     sv = realize(design.prefilter)
-
+    nxi, nv = loop.A.shape[0], sv.order
+    packetized = scenario.model == "packetized"
+    delays = scenario.trace.delays
+    d_hat = design.d_hat
     n = scenario.steps
     r = _padded(scenario.reference, n)
     w = _padded(scenario.disturbance, n)
-    x_p, x_h, x_f, x_c, x_v = (s.zero_state() for s in (sp, sh, sf, sc, sv))
-    ybuf = [0.0] * design.d_hat
-    state = ChannelState()
-    sent = []
 
-    rec = {name: np.zeros(n) for name in ("r", "u", "y", "y_hat", "y_F", "y_H")}
-    sel = np.zeros(n, dtype=int)
+    # The prefilter state x_V rides along after xi, so r_V,k = c_V x_V,k +
+    # d_V r_k enters through the matrix and the inputs known in advance
+    # collapse into one drive row per step.
+    A = np.block([[loop.A, np.outer(loop.b_ref, sv.c)],
+                  [np.zeros((nv, nxi)), sv.A]])
+    g, out_row = np.pad([loop.g, loop.rows[0]], ((0, 0), (0, nv)))
+    drive = (np.outer(r, np.append(loop.b_ref * sv.d, sv.b))
+             + np.outer(w, np.append(loop.b_dist, np.zeros(nv))))
+    # hist[d_hat + k] holds (xi_k, x_V,k); the d_hat leading zero rows
+    # are the zero history the first measurements read
+    hist = np.zeros((d_hat + n + 1, nxi + nv))
+    y = np.zeros(n)
+    y_hat = np.zeros(n)
+    sel = np.full(n, -1)
+    state = ChannelState()
     diverged = False
-    div_step = None
     last = n
     for k in range(n):
-        y_raw = sp.output(x_p, 0.0) if sp.order else 0.0
-        y_k = ybuf[0] if design.d_hat else y_raw
-        sent.append(y_k)
-        state.send(k, scenario.trace.arrival(k))
-        y_hat = channel_step(state, scenario.protocol, k, sent)
-        y_f = sf.output(x_f, y_hat)
-        y_h = sh.output(x_h, 0.0)
-        r_v = sv.output(x_v, r[k])
-        e = r_v - y_f - y_h
-        u = sc.output(x_c, e)
-
-        rec["r"][k] = r[k]
-        rec["u"][k] = u
-        rec["y"][k] = y_k
-        rec["y_hat"][k] = y_hat
-        rec["y_F"][k] = y_f
-        rec["y_H"][k] = y_h
-        sel[k] = state.selected_index
-        if abs(y_k) > DIVERGENCE_LIMIT:
+        y[k] = out_row @ hist[k]
+        if packetized:
+            state.send(k, scenario.trace.arrival(k))
+            y_hat[k] = channel_step(state, scenario.protocol, k, y)
+            sel[k] = state.selected_index
+        elif k >= delays[k]:
+            y_hat[k] = y[k - delays[k]]
+        if abs(y[k]) > DIVERGENCE_LIMIT:
             diverged = True
-            div_step = k
             last = k + 1
             break
+        hist[d_hat + k + 1] = A @ hist[d_hat + k] + g * y_hat[k] + drive[k]
 
-        x_p = sp.advance(x_p, u + w[k])
-        x_h = sh.advance(x_h, u)
-        x_f = sf.advance(x_f, y_hat)
-        x_c = sc.advance(x_c, e)
-        x_v = sv.advance(x_v, r[k])
-        if design.d_hat:
-            ybuf.pop(0)
-            ybuf.append(y_raw)
-
-    return SimTrace(k=np.arange(last), r=rec["r"][:last], u=rec["u"][:last],
-                    y=rec["y"][:last], y_hat=rec["y_hat"][:last],
-                    y_F=rec["y_F"][:last], y_H=rec["y_H"][:last],
-                    selected_index=sel[:last],
-                    diverged=diverged, divergence_step=div_step)
+    if packetized:
+        xi, x_v = np.hsplit(hist[d_hat:d_hat + last], [nxi])
+        y_hat = y_hat[:last]
+        r_v = x_v @ sv.c + sv.d * r[:last]
+        y_H = xi @ loop.rows[1]
+        y_F = xi @ loop.rows[2] + loop.d_F * y_hat
+        u = xi @ loop.rows[3] + loop.d_C * (r_v - y_F - y_H)
+    else:
+        u, y_hat, y_F, y_H = (np.full(last, np.nan) for _ in range(4))
+    return SimTrace(k=np.arange(last), r=r[:last], u=u, y=y[:last],
+                    y_hat=y_hat, y_F=y_F, y_H=y_H, selected_index=sel[:last],
+                    diverged=diverged,
+                    divergence_step=last - 1 if diverged else None)
 
 
 def simulate_sample_delay(model: AugmentedModel, delay_sequence, steps: int,
@@ -204,26 +203,3 @@ def simulate_sample_delay(model: AugmentedModel, delay_sequence, steps: int,
         back = k - model.d_hat
         y[k] = model.output_row @ hist[back] if back >= 0 else 0.0
     return hist[1:], y
-
-
-def _simulate_sample_delay_scenario(scenario: SimScenario) -> SimTrace:
-    design = scenario.design
-    model = assemble_augmented(design)
-    sv = realize(design.prefilter)
-    n = scenario.steps
-    r = _padded(scenario.reference, n)
-    r_v = np.zeros(n)
-    x_v = sv.zero_state()
-    for k in range(n):
-        r_v[k] = sv.output(x_v, r[k])
-        x_v = sv.advance(x_v, r[k])
-    _, y = simulate_sample_delay(model, scenario.trace.delays[:n], n,
-                                 reference=r_v, disturbance=scenario.disturbance)
-    diverged = bool(np.any(np.abs(y) > DIVERGENCE_LIMIT))
-    last = int(np.argmax(np.abs(y) > DIVERGENCE_LIMIT)) + 1 if diverged else n
-    nan = np.full(last, np.nan)
-    return SimTrace(k=np.arange(last), r=r[:last], u=nan.copy(), y=y[:last],
-                    y_hat=nan.copy(), y_F=nan.copy(), y_H=nan.copy(),
-                    selected_index=np.full(last, -1, dtype=int),
-                    diverged=diverged,
-                    divergence_step=(last - 1) if diverged else None)

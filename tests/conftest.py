@@ -5,7 +5,23 @@ those lines are replayed in a terminal section after the run so the
 verdict survives pytest's output capturing.
 """
 
+import numpy as np
+
+from netsmith.lti_core import realize
+
 _ACCEPTANCE_LINES = []
+
+
+def prefiltered(design, reference):
+    """The reference after the design's prefilter V, stepped from rest:
+    the r_V that simulate_sample_delay expects."""
+    V = realize(design.prefilter)
+    x = V.zero_state()
+    out = np.empty(len(reference))
+    for k, r in enumerate(reference):
+        out[k] = V.output(x, r)
+        x = V.advance(x, r)
+    return out
 
 
 def record_acceptance(name: str, ok: bool, detail: str = "") -> bool:

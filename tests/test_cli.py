@@ -131,6 +131,19 @@ def test_oracle_trace_output(tmp_path, capsys):
     assert (tmp_path / "o.csv.manifest.json").exists()
 
 
+def test_oracle_summary_names_closed_form_only_where_exact(tmp_path, capsys):
+    out = str(tmp_path / "o.csv")
+    assert main(["oracle", "--protocol", "p1", "--tau-max", "0", "--horizon", "3",
+                 "-o", out]) == 0
+    assert "closed form" not in capsys.readouterr().out
+    assert main(["oracle", "--protocol", "p1", "--tau-max", "1", "--horizon", "8",
+                 "-o", out]) == 0
+    assert "closed form" not in capsys.readouterr().out
+    assert main(["oracle", "--protocol", "p3", "--tau-max", "1", "--horizon", "8",
+                 "-o", out]) == 0
+    assert "closed form 1.52752523165" in capsys.readouterr().out
+
+
 def test_oracle_random_selector_is_usage_error(capsys):
     rc = main(["oracle", "--protocol", "p3", "--tau-max", "2", "--horizon", "6",
                "--selector", "random"])

@@ -80,11 +80,12 @@ def test_freq_response_matches_direct_eval():
 
 
 def test_realize_round_trip():
-    g = RationalTF([0.5, -0.2, 0.1], [1.0, -1.1, 0.4, -0.05], 1.0)
-    ss = realize(g)
-    back = ss.to_tf().normalized()
-    assert np.allclose(back.num.coeffs, g.normalized().num.coeffs, atol=1e-9)
-    assert np.allclose(back.den.coeffs, g.normalized().den.coeffs, atol=1e-9)
+    for g in (RationalTF([0.5, -0.2, 0.1], [1.0, -1.1, 0.4, -0.05], 1.0),
+              RationalTF([2.0, 0.5, -0.3], [2.0, -0.4, 0.1], 1.0)):
+        ss = realize(g)
+        for z in (np.exp(0.3j), np.exp(2.5j), -1.0, 2.0, 0.2 + 0.4j):
+            got = ss.c @ np.linalg.solve(z * np.eye(ss.order) - ss.A, ss.b) + ss.d
+            assert got == pytest.approx(g(z), rel=1e-12, abs=1e-12)
 
 
 def test_state_space_impulse_matches_long_division():

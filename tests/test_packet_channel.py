@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsmith.packet_channel import (ChannelState, PacketTrace, Protocol,
-                                     channel_step, receive_set, run_channel,
+                                     channel_step, run_channel,
                                      uniform_trace, worst_case_trace)
 
 
@@ -24,13 +24,6 @@ def test_worst_case_trace_pattern():
 def test_arrival_times():
     tr = PacketTrace((2, 0, 1), 0, 2)
     assert [tr.arrival(j) for j in range(3)] == [2, 1, 3]
-
-
-def test_receive_set_brute_force():
-    tr = PacketTrace((2, 0, 1, 0), 0, 2)
-    for p in range(7):
-        expect = [j for j in range(4) if j + tr.delays[j] == p]
-        assert receive_set(tr, p) == expect
 
 
 def test_trace_csv_round_trip():

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from conftest import prefiltered
+from netsmith.cli import main
 from netsmith.lmi_assembly import assemble_augmented
-from netsmith.packet_channel import PacketTrace, Protocol, worst_case_trace
+from netsmith.lti_core import RationalTF, realize
+from netsmith.packet_channel import (ChannelState, PacketTrace, Protocol,
+                                     channel_step, uniform_trace, worst_case_trace)
 from netsmith.presets import demo_design
-from netsmith.sim_engine import SimScenario, SimTrace, simulate, simulate_sample_delay
+from netsmith.sim_engine import (DIVERGENCE_LIMIT, SimScenario, SimTrace, simulate,
+                                 simulate_sample_delay)
 from netsmith.smith_design import make_design
 from netsmith.presets import demo_controller, demo_plant, demo_prefilter
 
@@ -23,13 +28,151 @@ def _run(design, kind, trace, steps, model="packetized", amplitude=1.0,
     return simulate(scenario)
 
 
+def _sample_delay_y(design, trace, steps, amplitude=1.0, disturbance=None):
+    """Measured output of the A_d_tilde model, iterated literally."""
+    r_V = prefiltered(design, np.full(steps, amplitude))
+    _, y = simulate_sample_delay(assemble_augmented(design), trace.delays, steps,
+                                 reference=r_V, disturbance=disturbance)
+    return y
+
+
+def _reference_packetized(scenario):
+    """The packetized loop stepped as five separate realizations.
+
+    An independent slow reference for ``simulate``: the plant, prediction
+    block, filter, controller and prefilter each advance on their own, the
+    measured output runs through a d_hat-sample shift list and every sent
+    sample is kept in a growing list for the channel.
+    """
+    design = scenario.design
+    sp = realize(design.plant_nominal)
+    sh = realize(design.predictor_block)
+    sf = realize(design.filter)
+    sc = realize(design.controller)
+    sv = realize(design.prefilter)
+
+    n = scenario.steps
+    r = np.zeros(n)
+    r[:len(scenario.reference)] = scenario.reference[:n]
+    w = np.zeros(n)
+    if scenario.disturbance is not None:
+        w[:len(scenario.disturbance)] = scenario.disturbance[:n]
+    x_p, x_h, x_f, x_c, x_v = (s.zero_state() for s in (sp, sh, sf, sc, sv))
+    ybuf = [0.0] * design.d_hat
+    state = ChannelState()
+    sent = []
+
+    rec = {name: np.zeros(n) for name in ("r", "u", "y", "y_hat", "y_F", "y_H")}
+    sel = np.zeros(n, dtype=int)
+    diverged = False
+    div_step = None
+    last = n
+    for k in range(n):
+        y_raw = sp.output(x_p, 0.0)
+        y_k = ybuf[0] if design.d_hat else y_raw
+        sent.append(y_k)
+        state.send(k, scenario.trace.arrival(k))
+        y_hat = channel_step(state, scenario.protocol, k, sent)
+        y_f = sf.output(x_f, y_hat)
+        y_h = sh.output(x_h, 0.0)
+        r_v = sv.output(x_v, r[k])
+        e = r_v - y_f - y_h
+        u = sc.output(x_c, e)
+
+        rec["r"][k] = r[k]
+        rec["u"][k] = u
+        rec["y"][k] = y_k
+        rec["y_hat"][k] = y_hat
+        rec["y_F"][k] = y_f
+        rec["y_H"][k] = y_h
+        sel[k] = state.selected_index
+        if abs(y_k) > DIVERGENCE_LIMIT:
+            diverged = True
+            div_step = k
+            last = k + 1
+            break
+
+        x_p = sp.advance(x_p, u + w[k])
+        x_h = sh.advance(x_h, u)
+        x_f = sf.advance(x_f, y_hat)
+        x_c = sc.advance(x_c, e)
+        x_v = sv.advance(x_v, r[k])
+        if design.d_hat:
+            ybuf.pop(0)
+            ybuf.append(y_raw)
+
+    return SimTrace(k=np.arange(last), r=rec["r"][:last], u=rec["u"][:last],
+                    y=rec["y"][:last], y_hat=rec["y_hat"][:last],
+                    y_F=rec["y_F"][:last], y_H=rec["y_H"][:last],
+                    selected_index=sel[:last],
+                    diverged=diverged, divergence_step=div_step)
+
+
+def _differential_cases():
+    """(label, design, trace, disturbance) over certified and diverging loops."""
+    demo = demo_design()
+    shifted = make_design(demo_plant(), demo_controller(), demo_prefilter(),
+                          d_hat=5, tau_n_min=1, tau_n_max=3)
+    contrast = demo_design(lam=0.85, tau_n_max=4)
+    load = np.zeros(300)
+    load[80:] = 0.2
+    pattern = worst_case_trace(300, 2)
+    return [
+        ("demo-pattern", demo, pattern, None),
+        ("demo-uniform", demo, uniform_trace(300, 0, 2, 11), None),
+        ("demo-pattern-load", demo, pattern, load),
+        ("shifted-pattern", shifted,
+         PacketTrace(tuple(t + 1 for t in pattern.delays), 1, 3), None),
+        ("shifted-uniform-load", shifted, uniform_trace(300, 1, 3, 12), load),
+        ("contrast-pattern", contrast, worst_case_trace(1300, 4), None),
+        ("contrast-uniform", contrast, uniform_trace(400, 0, 4, 13), None),
+    ]
+
+
+@pytest.mark.parametrize("kind,selector", [("p1", "oldest"), ("p2", "oldest"),
+                                           ("p3", "oldest"), ("p3", "newest"),
+                                           ("p3", "random")])
+def test_packetized_matches_reference_loop(kind, selector):
+    protocol = Protocol(kind, selector=selector, seed=5)
+    diverging = 0
+    for label, design, trace, dist in _differential_cases():
+        steps = len(trace)
+        scenario = SimScenario(design=design, protocol=protocol, trace=trace,
+                               reference=np.full(steps, 1.5), steps=steps,
+                               disturbance=dist)
+        got = simulate(scenario)
+        want = _reference_packetized(scenario)
+        assert np.array_equal(got.selected_index, want.selected_index), label
+        assert (got.diverged, got.divergence_step) == (
+            want.diverged, want.divergence_step), label
+        diverging += want.diverged
+        for name in ("k", "r", "u", "y", "y_hat", "y_F", "y_H"):
+            a, b = getattr(got, name), getattr(want, name)
+            scale = max(1.0, float(np.max(np.abs(b))))
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale, (label, name)
+    # oldest-first selection escapes on the contrast pattern, so the
+    # divergence cut-off is compared too
+    assert diverging == (kind == "p3" and selector == "oldest")
+
+
+@pytest.mark.parametrize("model", ["packetized", "sample_delay"])
+def test_biproper_plant_is_rejected(model, tmp_path):
+    d = make_design(RationalTF([0.5, -0.2], [1.0, -0.6]), demo_controller(),
+                    demo_prefilter(), d_hat=3, tau_n_min=0, tau_n_max=2)
+    with pytest.raises(ValueError, match="strictly proper"):
+        _run(d, "p1", worst_case_trace(20, 2), 20, model=model)
+    path = tmp_path / "biproper.json"
+    path.write_text(d.to_json() + "\n")
+    assert main(["simulate", str(path), "--protocol", "p1", "--delays", "pattern",
+                 "--steps", "20", "--model", model.replace("_", "-")]) == 2
+
+
 @pytest.mark.parametrize("c", [0, 1, 2])
 def test_cross_model_agreement_constant_delay(c):
     d = demo_design()
     tr = _constant_trace(c, 200, 0, 2)
     pk = _run(d, "p1", tr, 200)
-    sd = _run(d, "p1", tr, 200, model="sample_delay")
-    assert np.max(np.abs(pk.y - sd.y)) < 1e-9
+    assert np.max(np.abs(pk.y - _sample_delay_y(d, tr, 200))) < 1e-9
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
@@ -38,8 +181,7 @@ def test_cross_model_agreement_with_transport_minimum(c):
                     d_hat=5, tau_n_min=1, tau_n_max=3)
     tr = _constant_trace(c, 200, 1, 3)
     pk = _run(d, "p1", tr, 200)
-    sd = _run(d, "p1", tr, 200, model="sample_delay")
-    assert np.max(np.abs(pk.y - sd.y)) < 1e-9
+    assert np.max(np.abs(pk.y - _sample_delay_y(d, tr, 200))) < 1e-9
 
 
 def test_protocols_agree_under_constant_delay():
@@ -137,18 +279,14 @@ def test_sample_delay_rejects_out_of_range_delay():
 
 def test_sample_delay_direct_call_matches_scenario_path():
     d = demo_design()
-    model = assemble_augmented(d)
-    steps = 80
-    delays = [2] * steps
-    # the scenario path prefilters the reference; replicate that here
-    from netsmith.lti_core import realize
-    V = realize(d.prefilter)
-    x = V.zero_state()
-    r_V = np.empty(steps)
-    for k in range(steps):
-        r_V[k] = V.output(x, 1.0)
-        x = V.advance(x, 1.0)
-    _, y = simulate_sample_delay(model, delays, steps, reference=r_V)
-    via_scenario = _run(d, "p1", _constant_trace(2, steps, 0, 2), steps,
-                        model="sample_delay")
-    assert np.allclose(y, via_scenario.y, atol=1e-12)
+    steps = 300
+    load = np.zeros(steps)
+    load[100:] = -0.3
+    for trace, dist in [(_constant_trace(2, steps, 0, 2), None),
+                        (uniform_trace(steps, 0, 2, 21), load),
+                        (worst_case_trace(steps, 2), load)]:
+        y = _sample_delay_y(d, trace, steps, amplitude=1.2, disturbance=dist)
+        scenario = SimScenario(design=d, protocol=Protocol("p1"), trace=trace,
+                               reference=np.full(steps, 1.2), steps=steps,
+                               disturbance=dist, model="sample_delay")
+        assert np.allclose(y, simulate(scenario).y, rtol=1e-12, atol=1e-12)
