@@ -25,9 +25,7 @@ from .lti_core import (
     Polynomial,
     RationalTF,
     cancel,
-    inf_norm,
     roots,
-    tf_arith,
 )
 
 F_DC_TOL = 1e-9

@@ -30,13 +30,19 @@ def _diff_over_z(h: float) -> RationalTF:
 
 
 def _closed_loop(design: PredictorDesign) -> RationalTF:
-    T = (design.controller * design.plant_nominal).feedback()
-    if T.den.degree > 0:
-        if np.any(np.abs(roots(T.den)) > 1.0 - STABLE_POLE_MARGIN):
-            raise NumericError(
-                "nominal loop is unstable: 1 + C*P_hat has roots on or outside "
-                "the unit circle")
-    return T
+    """T = C P_hat/(1 + C P_hat), once the delay-free loop is internally stable.
+
+    The characteristic polynomial is rooted before any pole-zero pair is
+    cancelled, so an unstable plant pole cancelled by a controller zero
+    (or the reverse) is caught instead of vanishing from T.
+    """
+    C, P = design.controller, design.plant_nominal
+    char = C.den * P.den + C.num * P.num
+    if np.any(np.abs(roots(char)) > 1.0 - STABLE_POLE_MARGIN):
+        raise NumericError(
+            "nominal loop is unstable: C.den*P_hat.den + C.num*P_hat.num has "
+            "roots on or outside the unit circle")
+    return (C * P).feedback()
 
 
 def build_M(design: PredictorDesign) -> RationalTF:

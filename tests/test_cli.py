@@ -69,6 +69,17 @@ def test_check_exit_codes(design_file):
     assert main(["check", design_file, "--protocol", "p1", "--tau-max", "4"]) == 1
 
 
+def test_check_unstable_cancellation_exits_3(tmp_path, components):
+    controller = tmp_path / "cancelling.json"
+    controller.write_text(RationalTF([5.0, -5.0 * 1.051], [1.0, -0.5]).to_json())
+    out = tmp_path / "bad.json"
+    assert main(["design", components["plant"], str(controller),
+                 components["prefilter"], "--tau-plant", "5", "--tau-net-min", "0",
+                 "--tau-net-max", "2", "-o", str(out)]) == 0
+    assert main(["check", str(out), "--protocol", "p1"]) == 3
+    assert main(["check", str(out), "--protocol", "p1", "--scan"]) == 3
+
+
 def test_check_scan_reports_threshold(design_file, capsys):
     for kind, want in [("p1", 3), ("p2", 2), ("p3", 2)]:
         rc = main(["check", design_file, "--protocol", kind, "--scan"])

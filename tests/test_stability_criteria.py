@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from netsmith.gain_analysis import alpha_formula
+from netsmith.lmi_assembly import assemble_augmented
 from netsmith.lti_core import NumericError, RationalTF, inf_norm
 from netsmith.packet_channel import Protocol
 from netsmith.presets import demo_controller, demo_design, demo_plant, demo_prefilter
@@ -138,3 +139,52 @@ def test_unstable_nominal_loop_raises():
                       demo_prefilter(), d_hat=5, tau_n_min=0, tau_n_max=2)
     with pytest.raises(NumericError, match="unstable"):
         check_nominal(bad, Protocol("p1"))
+
+
+def test_unstable_cancellation_raises():
+    # the controller zero at 1.051 cancels the unstable plant pole
+    bad = make_design(demo_plant(), RationalTF([5.0, -5.0 * 1.051], [1.0, -0.5]),
+                      demo_prefilter(), d_hat=5, tau_n_min=0, tau_n_max=2)
+    with pytest.raises(NumericError, match="unstable"):
+        check_nominal(bad, Protocol("p1"))
+    with pytest.raises(NumericError, match="unstable"):
+        check_uncertain(bad, Protocol("p1"), alpha_A=0.02)
+    with pytest.raises(NumericError, match="unstable"):
+        max_certified_tau(bad, Protocol("p1"))
+
+
+def _lifted_spectral_radius(design):
+    """Spectral radius of xi_{k+1} = A_tilde xi_k + A_d_tilde xi_{k-D} with
+    the constant delay D = d_hat + tau_n_min, on (xi_k, ..., xi_{k-D})."""
+    m = assemble_augmented(design)
+    n, D = m.n_xi, m.d_hat + m.tau_n_min
+    L = np.zeros(((D + 1) * n, (D + 1) * n))
+    L[:n, :n] = m.A_tilde
+    L[:n, D * n:] += m.A_d_tilde
+    L[n:, :-n] = np.eye(D * n)
+    return float(np.max(np.abs(np.linalg.eigvals(L))))
+
+
+def test_nominal_stability_matches_lifted_spectral_radius():
+    # PI-type controllers k (z - a)/(z - 1) and lead-lag k (z - a)/(z - p)
+    # around the demo plant, some with the zero on its pole at 1.051
+    rng = np.random.default_rng(20261018)
+    controllers = [RationalTF([5.0, -5.0 * 1.051], [1.0, -0.5])]
+    for _ in range(80):
+        k = float(np.exp(rng.uniform(np.log(8.0), np.log(150.0))))
+        a = 1.051 if rng.uniform() < 0.2 else float(rng.uniform(0.9, 1.0))
+        p = 1.0 if rng.uniform() < 0.7 else float(rng.uniform(-0.5, 0.9))
+        controllers.append(RationalTF([k, -k * a], [1.0, -p]))
+    verdicts = []
+    for i, C in enumerate(controllers):
+        d = make_design(demo_plant(), C, demo_prefilter(), d_hat=1 + i % 6,
+                        tau_n_min=i % 3, tau_n_max=i % 3 + 2,
+                        lam=0.8 + 0.15 * (i % 4) / 3)
+        try:
+            check_nominal(d, Protocol("p1"))
+            stable = True
+        except NumericError:
+            stable = False
+        assert stable == (_lifted_spectral_radius(d) < 1.0), C
+        verdicts.append(stable)
+    assert 10 < sum(verdicts) < len(verdicts) - 10
