@@ -236,9 +236,12 @@ def _match_and_cancel(num_roots, den_roots, tol: float):
 
 
 def cancel(g: RationalTF, tol: float = ARITH_CANCEL_TOL) -> RationalTF:
-    """Remove near-common num/den root pairs closer than tol."""
+    """Remove near-common num/den root pairs closer than tol; g itself
+    when tol <= 0, since no pair can be closer than that."""
     if g.num.is_zero:
         return RationalTF([0.0], [1.0], g.h)
+    if tol <= 0:
+        return g
     num_lead = g.num.coeffs[0]
     den_lead = g.den.coeffs[0]
     num_roots = list(roots(g.num)) if g.num.degree > 0 else []

@@ -12,11 +12,14 @@ selection protocols to the arrival set I(p) = {k : k + tau_k = p}:
   p3  use any member of I(p), configurable as oldest, newest, or
       seeded-random; hold when nothing arrives.
 
-The held value starts at 0 and the last-used index at -1.
+No rule reads the sample values, so the channel is one integer map:
+``held_index`` gives the send index held at every instant (-1, value 0,
+before the first packet), and ``run_channel`` reads the samples through
+it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import io
 
 import numpy as np
@@ -113,69 +116,80 @@ def worst_case_trace(n: int, tau_bar: int) -> PacketTrace:
     return PacketTrace(delays, 0, tau_bar)
 
 
-@dataclass
-class ChannelState:
-    """Mutable receiver state: hold value, last used index, in-flight packets."""
-    last_index: int = -1
-    last_output: float = 0.0
-    in_flight: list = field(default_factory=list)
-    selected_index: int = -1
-    _rng: np.random.Generator | None = None
+def held_index(trace: PacketTrace, protocol: Protocol, n: int) -> np.ndarray:
+    """Send index of the sample the receiver holds at p = 0 .. n-1.
 
-    def send(self, index: int, arrival: int) -> None:
-        self.in_flight.append((index, arrival))
+    Selection never reads the sample values, so the whole channel is this
+    integer map: y_hat_p = y[held_p], and held_p = -1 (value 0) until the
+    first packet is used.  Packets of ``trace`` arriving at or after n
+    play no part.  Every rule folds the arrival set I(p) of one instant
+    into one pick and holds that pick until the next one:
 
-    def rng_for(self, protocol: Protocol) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = np.random.default_rng(protocol.seed)
-        return self._rng
+      p1             running maximum of the arrived send indices; an
+                     arrival older than the held one never wins.
+      p2, p3-newest  the largest index in I(p).
+      p3-oldest      the smallest index in I(p).
+      p3-random      a seeded uniform draw from I(p) sorted ascending, one
+                     draw per non-empty instant in time order.
 
+    Staleness bounds.  Let s_p = p - held_p and p < len(trace).
 
-def channel_step(state: ChannelState, protocol: Protocol, p: int, samples) -> float:
-    """Receive instant p: pick from the packets arriving now, or hold.
+      p1      s_p <= tau_max.  Packet p - tau_max has arrived by p (and
+              for p < tau_max, s_p <= p + 1 <= tau_max even at -1), and p1
+              holds the newest index that has arrived.
+      p2, p3  s_p <= 2 tau_max - tau_min.  If nothing has arrived yet,
+              p < tau_max since packet 0 arrives by then, so s_p <= tau_max.
+              Otherwise the held index j was picked at the last arrival
+              instant q <= p, so j >= q - tau_max.  As q >= tau_min,
+              packet q + 1 - tau_min exists; it arrives within (q, q +
+              tau_max - tau_min + 1], and nothing arrives in (q, p], so
+              p <= q + tau_max - tau_min.
+      p2      also s_p <= max(tau_max, 2 tau_max - tau_min - 1), which
+              p3-newest shares.  If j < q - tau_min, packet q - tau_min
+              (>= 0, as q >= tau_min) lands at q or later but is not in
+              I(q), where it would beat j, so p < q - tau_min + tau_max
+              and s_p <= 2 tau_max - tau_min - 1.  Otherwise j >= q -
+              tau_min and s_p <= tau_max.
 
-    ``samples`` maps send index to the transmitted value (any indexable).
-    Updates the state in place and returns y_hat_p.  The chosen send index
-    is left in ``state.selected_index`` (-1 when holding).
+    Each bound is attained by some trace.
     """
-    arrivals = sorted(j for j, a in state.in_flight if a == p)
-    state.in_flight = [(j, a) for j, a in state.in_flight if a != p]
-    choice = None
-    if arrivals:
-        if protocol.kind == "p1":
-            fresh = [j for j in arrivals if j > state.last_index]
-            choice = max(fresh) if fresh else None
-        elif protocol.kind == "p2":
-            choice = max(arrivals)
-        else:
-            if protocol.selector == "oldest":
-                choice = min(arrivals)
-            elif protocol.selector == "newest":
-                choice = max(arrivals)
-            else:
-                choice = arrivals[int(state.rng_for(protocol).integers(len(arrivals)))]
-    if choice is None:
-        state.selected_index = -1
-        return state.last_output
-    state.selected_index = choice
-    state.last_index = choice
-    state.last_output = float(samples[choice])
-    return state.last_output
+    m = min(len(trace), n)
+    index = np.arange(m)
+    arrival = index + np.asarray(trace.delays[:m], dtype=np.int64)
+    keep = arrival < n
+    index, arrival = index[keep], arrival[keep]
+    rule = protocol.selector if protocol.kind == "p3" else protocol.kind
+    # the newest selector applies the p2 rule: max(I(p)), hold when empty
+    rule = "p2" if rule == "newest" else rule
+    pick = np.full(n, -1)
+    if rule in ("p1", "p2"):
+        np.maximum.at(pick, arrival, index)
+        if rule == "p1":
+            return np.maximum.accumulate(pick)
+    elif rule == "oldest":
+        pick[:] = n
+        np.minimum.at(pick, arrival, index)
+        pick[pick == n] = -1
+    else:
+        order = np.argsort(arrival, kind="stable")
+        instants, first, counts = np.unique(arrival[order], return_index=True,
+                                            return_counts=True)
+        draws = np.random.default_rng(protocol.seed).integers(0, counts)
+        pick[instants] = index[order][first + draws]
+    # hold: carry each pick forward to the next instant that has one
+    return pick[np.maximum.accumulate(np.where(pick >= 0, np.arange(n), 0))]
 
 
 def run_channel(values, trace: PacketTrace, protocol: Protocol):
     """Feed a full sample sequence through the channel.
 
     Returns a numpy vector of y_hat over p = 0 .. len(values)+tau_max-1,
-    long enough for every sent packet to arrive.
+    long enough for every sent packet to arrive; 0 before the first packet.
     """
     n = len(values)
     if len(trace) < n:
         raise ValueError(f"trace covers {len(trace)} packets but {n} samples were given")
-    state = ChannelState()
-    out = np.zeros(n + trace.tau_max)
-    for p in range(len(out)):
-        if p < n:
-            state.send(p, trace.arrival(p))
-        out[p] = channel_step(state, protocol, p, values)
-    return out
+    sent = PacketTrace(trace.delays[:n], trace.tau_min, trace.tau_max)
+    held = held_index(sent, protocol, n + trace.tau_max)
+    # the appended 0 is what index -1 reads
+    return np.append(np.asarray(values, dtype=float), 0.0)[held]

@@ -13,11 +13,14 @@ Two models of the same loop:
                  a protocol that re-uses stale packets can destabilize a
                  loop whose sample-delay abstraction is perfectly tame.
 
-Both models run through one per-step loop on the stacked state
-xi = (x, x_H, x_F, x_C) that lmi_assembly lays out; they differ only in
-where the controller's measurement y_hat comes from.  All states start at
-zero.  The simulation declares divergence when the measured output
-magnitude crosses DIVERGENCE_LIMIT and stops recording at that step.
+Both models run through one loop on the stacked state xi = (x, x_H, x_F,
+x_C) that lmi_assembly lays out, and differ only in one index array: the
+controller's measurement is y_hat_k = y[held_k], with held_k from the
+channel's ``held_index`` or k - tau_k.  Since no y_hat reads a sample
+younger than d_hat + min_k(k - held_k) steps, the loop advances that many
+steps plus one per matrix product.  All states start at zero.  The
+simulation declares divergence when the measured output magnitude crosses
+DIVERGENCE_LIMIT and stops recording at that step.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .lmi_assembly import AugmentedModel, _stacked_loop
 from .lti_core import realize
-from .packet_channel import ChannelState, PacketTrace, Protocol, channel_step
+from .packet_channel import PacketTrace, Protocol, held_index
 from .smith_design import PredictorDesign
 
 DIVERGENCE_LIMIT = 1e6
@@ -100,6 +103,28 @@ def _padded(seq, n: int) -> np.ndarray:
     return out
 
 
+def _lifted(A, cols, out_row, L: int):
+    """L steps of z_{i+1} = A z_i + cols u_i from z_0, listing each state
+    z_1 .. z_L followed by its output out_row z_i.
+
+    Returns the free response, (L (N+1)) x N in z_0, and the forced
+    response, forced[c, t] the listing for a unit input on column c of
+    cols at step t.
+    """
+    N = A.shape[0]
+    C = np.vstack([np.eye(N), out_row])
+    powers = [np.eye(N)]
+    for _ in range(L):
+        powers.append(A @ powers[-1])
+    free = (C @ np.array(powers[1:])).reshape(-1, N)
+    # impulse[j] = C A^j cols: state i+1 sees the input of step t <= i
+    # through A^(i-t)
+    impulse = C @ np.array(powers[:L]) @ cols
+    lag = np.subtract.outer(np.arange(L), np.arange(L))
+    forced = impulse[lag.clip(0)] * (lag >= 0)[:, :, None, None]
+    return free, forced.transpose(3, 1, 0, 2).reshape(cols.shape[1], L, -1)
+
+
 def simulate(scenario: SimScenario) -> SimTrace:
     """Run the scenario and return the recorded trace.
 
@@ -107,65 +132,91 @@ def simulate(scenario: SimScenario) -> SimTrace:
     b_dist w_k on the stacked state of lmi_assembly, with r_V the
     prefiltered reference and w the plant-input disturbance, and send the
     measured output y_k = out_row xi_{k-d_hat} as packet k.  They differ
-    only in y_hat_k: the packetized loop takes what the channel selects,
-    the sample-delay loop takes out_row xi_{k-d_hat-tau_k}.  y_F, y_H and
-    u are read out of the state history afterwards.  The sample-delay
-    model has no channel, so its u, y_hat, y_F, y_H are NaN and its
-    selected_index is -1.
+    only in the index map y_hat_k = y[held_k]: the packetized loop takes
+    ``held_index`` of its channel, the sample-delay loop k - tau_k; -1
+    reads 0.  y_F, y_H and u are read out of the state history afterwards.
+    The sample-delay model has no channel, so its u, y_hat, y_F, y_H are
+    NaN and its selected_index is -1.
+
+    The loop advances L = d_hat + min_k(k - held_k) + 1 steps at a time:
+    every y_hat of a block then reads an output of a state from before
+    the block, so one product with the lifted step map gives the block's
+    states and outputs.  The reference and disturbance responses of all
+    blocks come from one product up front.
     """
     design = scenario.design
     loop = _stacked_loop(design)
     sv = realize(design.prefilter)
     nxi, nv = loop.A.shape[0], sv.order
     packetized = scenario.model == "packetized"
-    delays = scenario.trace.delays
     d_hat = design.d_hat
     n = scenario.steps
     r = _padded(scenario.reference, n)
     w = _padded(scenario.disturbance, n)
+    k = np.arange(n)
+    if packetized:
+        held = held_index(scenario.trace, scenario.protocol, n)
+    else:
+        held = k - np.asarray(scenario.trace.delays[:n])
+        held[held < 0] = -1
+    read = held >= 0
+    L = min(n, d_hat + 1 + int(np.min(k[read] - held[read], initial=n)))
+    blocks = -(-(n - 1) // L)
 
     # The prefilter state x_V rides along after xi, so r_V,k = c_V x_V,k +
-    # d_V r_k enters through the matrix and the inputs known in advance
-    # collapse into one drive row per step.
+    # d_V r_k enters through the matrix: z = (xi, x_V) steps as
+    # z_{k+1} = A z_k + g y_hat_k + e_r r_k + e_w w_k.
     A = np.block([[loop.A, np.outer(loop.b_ref, sv.c)],
                   [np.zeros((nv, nxi)), sv.A]])
     g, out_row = np.pad([loop.g, loop.rows[0]], ((0, 0), (0, nv)))
-    drive = (np.outer(r, np.append(loop.b_ref * sv.d, sv.b))
-             + np.outer(w, np.append(loop.b_dist, np.zeros(nv))))
-    # hist[d_hat + k] holds (xi_k, x_V,k); the d_hat leading zero rows
-    # are the zero history the first measurements read
-    hist = np.zeros((d_hat + n + 1, nxi + nv))
-    y = np.zeros(n)
-    y_hat = np.zeros(n)
-    sel = np.full(n, -1)
-    state = ChannelState()
-    diverged = False
-    last = n
-    for k in range(n):
-        y[k] = out_row @ hist[k]
-        if packetized:
-            state.send(k, scenario.trace.arrival(k))
-            y_hat[k] = channel_step(state, scenario.protocol, k, y)
-            sel[k] = state.selected_index
-        elif k >= delays[k]:
-            y_hat[k] = y[k - delays[k]]
-        if abs(y[k]) > DIVERGENCE_LIMIT:
-            diverged = True
-            last = k + 1
-            break
-        hist[d_hat + k + 1] = A @ hist[d_hat + k] + g * y_hat[k] + drive[k]
+    e_r = np.append(loop.b_ref * sv.d, sv.b)
+    e_w = np.append(loop.b_dist, np.zeros(nv))
+    free, forced = _lifted(A, np.column_stack([g, e_r, e_w]), out_row, L)
+    step = np.hstack([free, forced[0].T])
+    N = nxi + nv
 
+    # hist[d_hat + i] = (z_i, out_row z_i), so hist[k, N] is y_k; the
+    # d_hat leading zero rows are the zero history the first measurements
+    # read, and the trailing zero row is what index -1 reads.
+    hist = np.zeros((d_hat + blocks * L + 2, N + 1))
+    rw = np.hstack([_padded(r, blocks * L).reshape(blocks, L),
+                    _padded(w, blocks * L).reshape(blocks, L)])
+    np.matmul(rw, forced[1:].reshape(2 * L, -1),
+              out=hist[d_hat + 1:d_hat + 1 + blocks * L].reshape(blocks, L * (N + 1)))
+    reads = np.append(held, np.full(L, -1))[:blocks * L].reshape(blocks, L)
+    flat = hist.reshape(-1)
+    y = hist[:, N]
+    v = np.empty(N + L)
+    last = n
+    diverged = False
+    for b in range(blocks):
+        a = d_hat + b * L
+        if b * L >= last - 1:
+            break
+        v[:N] = hist[a, :N]
+        v[N:] = y[reads[b]]
+        flat[(a + 1) * (N + 1):(a + 1 + L) * (N + 1)] += step @ v
+        if not diverged and abs(y[a + 1:a + 1 + L]).max() > DIVERGENCE_LIMIT:
+            crossed = np.flatnonzero(np.abs(y[:min(n, a + 1 + L)]) > DIVERGENCE_LIMIT)
+            if crossed.size:
+                # keep stepping until the state of the crossing step exists
+                diverged = True
+                last = int(crossed[0]) + 1
+
+    held = held[:last]
     if packetized:
-        xi, x_v = np.hsplit(hist[d_hat:d_hat + last], [nxi])
-        y_hat = y_hat[:last]
+        y_hat = y[held]
+        xi, x_v = np.hsplit(hist[d_hat:d_hat + last, :N], [nxi])
         r_v = x_v @ sv.c + sv.d * r[:last]
         y_H = xi @ loop.rows[1]
         y_F = xi @ loop.rows[2] + loop.d_F * y_hat
         u = xi @ loop.rows[3] + loop.d_C * (r_v - y_F - y_H)
+        sel = np.where(held != np.append(-1, held[:-1]), held, -1)
     else:
         u, y_hat, y_F, y_H = (np.full(last, np.nan) for _ in range(4))
-    return SimTrace(k=np.arange(last), r=r[:last], u=u, y=y[:last],
-                    y_hat=y_hat, y_F=y_F, y_H=y_H, selected_index=sel[:last],
+        sel = np.full(last, -1)
+    return SimTrace(k=k[:last], r=r[:last], u=u, y=y[:last].copy(),
+                    y_hat=y_hat, y_F=y_F, y_H=y_H, selected_index=sel,
                     diverged=diverged,
                     divergence_step=last - 1 if diverged else None)
 

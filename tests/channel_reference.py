@@ -1,0 +1,64 @@
+"""Per-step slow reference of the packet channel, for tests only.
+
+The receiver keeps its in-flight packets in a list and applies the
+selection rule at every instant, one step at a time.  ``held_index`` in
+netsmith.packet_channel computes the same thing as one index map; the
+differential tests compare the two.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from netsmith.packet_channel import Protocol
+
+
+@dataclass
+class ChannelState:
+    """Mutable receiver state: hold value, last used index, in-flight packets."""
+    last_index: int = -1
+    last_output: float = 0.0
+    in_flight: list = field(default_factory=list)
+    selected_index: int = -1
+    _rng: np.random.Generator | None = None
+
+    def send(self, index: int, arrival: int) -> None:
+        self.in_flight.append((index, arrival))
+
+    def rng_for(self, protocol: Protocol) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = np.random.default_rng(protocol.seed)
+        return self._rng
+
+
+def channel_step(state: ChannelState, protocol: Protocol, p: int, samples) -> float:
+    """Receive instant p: pick from the packets arriving now, or hold.
+
+    ``samples`` maps send index to the transmitted value (any indexable).
+    Updates the state in place and returns y_hat_p.  The chosen send index
+    is left in ``state.selected_index`` (-1 when holding).
+    """
+    arrivals = sorted(j for j, a in state.in_flight if a == p)
+    state.in_flight = [(j, a) for j, a in state.in_flight if a != p]
+    choice = None
+    if arrivals:
+        if protocol.kind == "p1":
+            fresh = [j for j in arrivals if j > state.last_index]
+            choice = max(fresh) if fresh else None
+        elif protocol.kind == "p2":
+            choice = max(arrivals)
+        else:
+            if protocol.selector == "oldest":
+                choice = min(arrivals)
+            elif protocol.selector == "newest":
+                choice = max(arrivals)
+            else:
+                choice = arrivals[int(state.rng_for(protocol).integers(len(arrivals)))]
+    if choice is None:
+        state.selected_index = -1
+        return state.last_output
+    state.selected_index = choice
+    state.last_index = choice
+    state.last_output = float(samples[choice])
+    return state.last_output

@@ -101,6 +101,17 @@ def test_cancel_removes_shared_roots():
     assert np.allclose(sorted(roots(g.num).real), [0.5], atol=1e-9)
 
 
+def test_cancel_without_tolerance_is_identity():
+    # an exact shared root: any positive tolerance would cancel it
+    num = Polynomial.from_roots([0.5, 0.2], leading=2.0)
+    den = Polynomial.from_roots([0.5, -0.3, 0.1], leading=1.0)
+    g = RationalTF(num.coeffs, den.coeffs, 1.0)
+    assert cancel(g, 0.0) is g
+    assert cancel(g, -1.0) is g
+    assert cancel(g).den.degree == 2
+    assert realize(g, 0.0).order == 3
+
+
 def test_inf_norm_first_order_analytic():
     # ||1/(z-a)|| peaks at z=1 for 0<a<1
     for a in (0.2, 0.5, 0.9, 0.99):

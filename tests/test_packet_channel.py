@@ -1,8 +1,8 @@
 """Packetized channel semantics for the three access protocols.
 
 The property tests re-derive each protocol's selection rule with an
-independent fold over the arrival sets and compare against the channel
-implementation step by step.
+independent fold over the arrival sets, and run the per-step reference
+receiver of ``channel_reference`` against the ``held_index`` map.
 """
 
 import numpy as np
@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsmith.packet_channel import (ChannelState, PacketTrace, Protocol,
-                                     channel_step, run_channel,
+from channel_reference import ChannelState, channel_step
+from netsmith.packet_channel import (PacketTrace, Protocol, held_index, run_channel,
                                      uniform_trace, worst_case_trace)
+
+LABELS = [("p1", "oldest"), ("p2", "oldest"), ("p3", "oldest"), ("p3", "newest"),
+          ("p3", "random")]
 
 
 def test_worst_case_trace_pattern():
@@ -48,9 +51,7 @@ def test_uniform_trace_is_seeded():
     assert min(a.delays) >= 0 and max(a.delays) <= 3
 
 
-@pytest.mark.parametrize("kind,selector", [("p1", "oldest"), ("p2", "oldest"),
-                                           ("p3", "oldest"), ("p3", "newest"),
-                                           ("p3", "random")])
+@pytest.mark.parametrize("kind,selector", LABELS)
 def test_constant_delay_is_pure_shift(kind, selector):
     values = np.arange(1.0, 13.0)
     c = 2
@@ -108,7 +109,7 @@ trace_strategy = st.lists(st.integers(min_value=0, max_value=3),
 
 
 def _fold_reference(kind, delays, values):
-    """Independent protocol fold used to cross-check channel_step."""
+    """Independent protocol fold used to cross-check run_channel."""
     n = len(delays)
     horizon = n + 3
     last_used = -1
@@ -165,3 +166,98 @@ def test_no_fabricated_values(delays, kind):
     out = run_channel(values, tr, Protocol(kind))
     allowed = set(values) | {0.0}
     assert set(out).issubset(allowed)
+
+
+def _shifted(base, tau_min):
+    return PacketTrace(tuple(t + tau_min for t in base.delays), tau_min,
+                       base.tau_max + tau_min)
+
+
+@st.composite
+def channel_cases(draw):
+    """A protocol and a uniform, worst-case or shifted-pattern trace."""
+    tau_max = draw(st.integers(0, 5))
+    tau_min = draw(st.integers(0, tau_max))
+    n = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from(["uniform", "worst", "shifted"]))
+    if shape == "uniform":
+        trace = uniform_trace(n, tau_min, tau_max, draw(st.integers(0, 2**32)))
+    elif shape == "worst":
+        trace = worst_case_trace(n, tau_max)
+    else:
+        trace = _shifted(worst_case_trace(n, tau_max - tau_min), tau_min)
+    kind, selector = draw(st.sampled_from(LABELS))
+    return trace, Protocol(kind, selector=selector, seed=draw(st.integers(0, 2**32)))
+
+
+def _reference_held(trace, protocol, horizon, values=None):
+    """Held send index (and value) per instant from the per-step receiver."""
+    state = ChannelState()
+    samples = range(len(trace)) if values is None else values
+    held, out = [], []
+    for p in range(horizon):
+        if p < len(trace):
+            state.send(p, trace.arrival(p))
+        out.append(channel_step(state, protocol, p, samples))
+        held.append(state.last_index)
+    return np.array(held), np.array(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(channel_cases(), st.booleans())
+def test_held_index_matches_reference_receiver(case, drain):
+    trace, protocol = case
+    # the drained horizon lets every sent packet arrive, as run_channel does
+    horizon = len(trace) + (trace.tau_max if drain else 0)
+    want, _ = _reference_held(trace, protocol, horizon)
+    assert np.array_equal(held_index(trace, protocol, horizon), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(channel_cases())
+def test_run_channel_matches_reference_receiver(case):
+    trace, protocol = case
+    values = np.random.default_rng(len(trace)).standard_normal(len(trace))
+    _, want = _reference_held(trace, protocol, len(trace) + trace.tau_max, values)
+    assert np.array_equal(run_channel(values, trace, protocol), want)
+
+
+def _staleness_bound(label, tau_min, tau_max):
+    """The bounds the held_index docstring proves."""
+    if label == "p1":
+        return tau_max
+    if label in ("p2", "p3-newest"):
+        return max(tau_max, 2 * tau_max - tau_min - 1)
+    return 2 * tau_max - tau_min
+
+
+@settings(max_examples=200, deadline=None)
+@given(channel_cases())
+def test_staleness_bounds(case):
+    trace, protocol = case
+    n = len(trace)
+    stale = np.arange(n) - held_index(trace, protocol, n)
+    assert stale.max() <= _staleness_bound(protocol.label, trace.tau_min, trace.tau_max)
+
+
+def _p2_stalest(tau_min, tau_max):
+    """Packet j = tau_max arrives alone and late, after all of j+1 ..
+    j+tau_max-tau_min-1, and packet j+tau_max-tau_min is the next to land."""
+    gap = tau_max - tau_min - 1
+    delays = (tau_min,) * tau_max + (tau_max,) + (tau_min,) * gap + (tau_max,) * (tau_max + 2)
+    return PacketTrace(delays, tau_min, tau_max)
+
+
+@pytest.mark.parametrize("tau_min,tau_max", [(0, 1), (0, 3), (1, 3), (2, 5), (3, 3)])
+def test_staleness_bounds_are_attained(tau_min, tau_max):
+    n = 6 * tau_max + 6
+    pattern = _shifted(worst_case_trace(n, tau_max - tau_min), tau_min)
+    constant = PacketTrace((tau_max,) * n, tau_min, tau_max)
+    p2_case = _p2_stalest(tau_min, tau_max) if tau_max > tau_min else constant
+    for label, proto, trace in [("p1", Protocol("p1"), constant),
+                                ("p2", Protocol("p2"), p2_case),
+                                ("p3-newest", Protocol("p3", selector="newest"), p2_case),
+                                ("p3-oldest", Protocol("p3"), pattern)]:
+        m = len(trace)
+        stale = np.arange(m) - held_index(trace, proto, m)
+        assert stale.max() == _staleness_bound(label, tau_min, tau_max), label

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from channel_reference import ChannelState, channel_step
 from conftest import prefiltered
 from netsmith.cli import main
 from netsmith.lmi_assembly import assemble_augmented
 from netsmith.lti_core import RationalTF, realize
-from netsmith.packet_channel import (ChannelState, PacketTrace, Protocol,
-                                     channel_step, uniform_trace, worst_case_trace)
+from netsmith.packet_channel import (PacketTrace, Protocol, held_index, uniform_trace,
+                                     worst_case_trace)
 from netsmith.presets import demo_design
 from netsmith.sim_engine import (DIVERGENCE_LIMIT, SimScenario, SimTrace, simulate,
                                  simulate_sample_delay)
@@ -129,9 +130,36 @@ def _differential_cases():
     ]
 
 
-@pytest.mark.parametrize("kind,selector", [("p1", "oldest"), ("p2", "oldest"),
-                                           ("p3", "oldest"), ("p3", "newest"),
-                                           ("p3", "random")])
+LABELS = [("p1", "oldest"), ("p2", "oldest"), ("p3", "oldest"), ("p3", "newest"),
+          ("p3", "random")]
+
+
+def _assert_matches_reference(scenario, label):
+    """simulate against the five-realization loop; returns the reference."""
+    got = simulate(scenario)
+    want = _reference_packetized(scenario)
+    assert np.array_equal(got.selected_index, want.selected_index), label
+    assert (got.diverged, got.divergence_step) == (
+        want.diverged, want.divergence_step), label
+    for name in ("k", "r", "u", "y", "y_hat", "y_F", "y_H"):
+        a, b = getattr(got, name), getattr(want, name)
+        scale = max(1.0, float(np.max(np.abs(b))))
+        assert np.max(np.abs(a - b)) <= 1e-12 * scale, (label, name)
+    return want
+
+
+def _assert_matches_sample_delay(design, trace, steps, amplitude, label):
+    """The sample-delay scenario against the A_d_tilde iteration."""
+    got = simulate(SimScenario(design=design, protocol=Protocol("p1"), trace=trace,
+                               reference=np.full(steps, amplitude), steps=steps,
+                               model="sample_delay"))
+    want = _sample_delay_y(design, trace, steps, amplitude=amplitude)
+    assert len(got.y) == steps and not got.diverged, label
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got.y - want)) <= 1e-12 * scale, label
+
+
+@pytest.mark.parametrize("kind,selector", LABELS)
 def test_packetized_matches_reference_loop(kind, selector):
     protocol = Protocol(kind, selector=selector, seed=5)
     diverging = 0
@@ -140,19 +168,76 @@ def test_packetized_matches_reference_loop(kind, selector):
         scenario = SimScenario(design=design, protocol=protocol, trace=trace,
                                reference=np.full(steps, 1.5), steps=steps,
                                disturbance=dist)
-        got = simulate(scenario)
-        want = _reference_packetized(scenario)
-        assert np.array_equal(got.selected_index, want.selected_index), label
-        assert (got.diverged, got.divergence_step) == (
-            want.diverged, want.divergence_step), label
-        diverging += want.diverged
-        for name in ("k", "r", "u", "y", "y_hat", "y_F", "y_H"):
-            a, b = getattr(got, name), getattr(want, name)
-            scale = max(1.0, float(np.max(np.abs(b))))
-            assert np.max(np.abs(a - b)) <= 1e-12 * scale, (label, name)
+        diverging += _assert_matches_reference(scenario, label).diverged
     # oldest-first selection escapes on the contrast pattern, so the
     # divergence cut-off is compared too
     assert diverging == (kind == "p3" and selector == "oldest")
+
+
+def _least_staleness(scenario):
+    """min_k (k - held_k) over the steps that read a packet; simulate
+    advances d_hat + 1 + this many steps at a time."""
+    n = scenario.steps
+    held = held_index(scenario.trace, scenario.protocol, n)
+    read = held >= 0
+    return int((np.arange(n)[read] - held[read]).min(initial=n))
+
+
+@pytest.mark.parametrize("d_hat,tau_n_min,tau_n_max", [(1, 0, 2), (12, 0, 3), (11, 2, 4)])
+def test_lifted_loop_edges(d_hat, tau_n_min, tau_n_max):
+    """Shortest blocks (L = 2), long ones (d_hat >= 10), horizons shorter
+    than a block and horizons that end inside one."""
+    design = make_design(demo_plant(), demo_controller(), demo_prefilter(),
+                         d_hat=d_hat, tau_n_min=tau_n_min, tau_n_max=tau_n_max)
+    span = tau_n_max - tau_n_min
+    lengths, short, ragged = set(), False, False
+    for steps in (1, 2, 3, d_hat + 1, d_hat + 2, 5 * d_hat + 7, 157):
+        pattern = PacketTrace(tuple(t + tau_n_min for t in
+                                    worst_case_trace(steps, span).delays),
+                              tau_n_min, tau_n_max)
+        uniform = uniform_trace(steps, tau_n_min, tau_n_max, steps)
+        for tname, trace in (("pattern", pattern), ("uniform", uniform)):
+            label = f"{tname}-{steps}"
+            for kind, selector in LABELS:
+                scenario = SimScenario(design=design,
+                                       protocol=Protocol(kind, selector=selector, seed=3),
+                                       trace=trace, reference=np.full(steps, 0.7),
+                                       steps=steps)
+                _assert_matches_reference(scenario, (label, kind, selector))
+                L = design.d_hat + 1 + _least_staleness(scenario)
+                lengths.add(L)
+                short |= steps < L
+                # the states 1 .. steps-1 fill whole blocks only when L divides
+                ragged |= (steps - 1) % L > 0
+            _assert_matches_sample_delay(design, trace, steps, 0.7, label)
+    assert short and ragged
+    assert (2 in lengths) == (d_hat == 1)
+
+
+def test_divergence_cut_off_at_every_block_offset():
+    """The first crossing of DIVERGENCE_LIMIT lands on each row of a block
+    in turn, and is cut off at the same step as in the reference loop."""
+    design = demo_design(lam=0.85, tau_n_max=4)
+    trace = worst_case_trace(1300, 4)
+
+    def scenario(amplitude):
+        return SimScenario(design=design, protocol=Protocol("p3"), trace=trace,
+                           reference=np.full(1300, amplitude), steps=1300)
+
+    # the loop is linear from rest, so scaling the reference moves the
+    # crossing to any step where |y| sets a new record
+    peak = np.abs(_reference_packetized(scenario(1.0)).y)
+    before = np.maximum.accumulate(np.append(0.0, peak[:-1]))
+    L = design.d_hat + 1 + _least_staleness(scenario(1.0))
+    first = {}
+    for k in np.flatnonzero((before > 0) & (peak > 1.01 * before)):
+        # block rows run d_hat + bL + 1 .. d_hat + bL + L
+        first.setdefault((k - design.d_hat - 1) % L, k)
+    assert sorted(first) == list(range(L))
+    for offset, k in sorted(first.items()):
+        amplitude = DIVERGENCE_LIMIT / np.sqrt(peak[k] * before[k])
+        want = _assert_matches_reference(scenario(amplitude), offset)
+        assert want.divergence_step == k
 
 
 @pytest.mark.parametrize("model", ["packetized", "sample_delay"])
