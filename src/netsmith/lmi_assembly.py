@@ -94,6 +94,11 @@ class _StackedLoop:
 
 
 def _stacked_loop(design: PredictorDesign) -> _StackedLoop:
+    """The design's stacked loop, built once per design and read-only."""
+    return design._memoized("lmi_assembly.stacked_loop", _build_stacked_loop)
+
+
+def _build_stacked_loop(design: PredictorDesign) -> _StackedLoop:
     """Realize P_hat, H, F, C on the stacked state; see assemble_augmented."""
     sp = _strictly_proper(realize(design.plant_nominal), "plant")
     sh = _strictly_proper(realize(design.predictor_block), "prediction block")
@@ -134,6 +139,8 @@ def _stacked_loop(design: PredictorDesign) -> _StackedLoop:
     rows = np.zeros((4, nxi))
     for i, ss in enumerate((sp, sh, sf, sc)):
         rows[i, s[i]] = ss.c
+    for arr in (A, g, b_ref, b_dist, rows):
+        arr.flags.writeable = False
     return _StackedLoop(A=A, g=g, b_ref=b_ref, b_dist=b_dist, rows=rows,
                         d_F=sf.d, d_C=sc.d, block_orders=(n, nh, nf, nc))
 

@@ -125,6 +125,25 @@ def _lifted(A, cols, out_row, L: int):
     return free, forced.transpose(3, 1, 0, 2).reshape(cols.shape[1], L, -1)
 
 
+def _step_data(design: PredictorDesign):
+    """(loop, sv, A, cols, out_row): the stacked loop, the prefilter
+    realization, and the step z_{k+1} = A z_k + cols (y_hat_k, r_k, w_k)
+    with output out_row z_k on z = (xi, x_V).
+
+    The prefilter state x_V rides along after xi, so r_V,k = c_V x_V,k +
+    d_V r_k enters through the matrix.
+    """
+    loop = _stacked_loop(design)
+    sv = realize(design.prefilter)
+    nxi, nv = loop.A.shape[0], sv.order
+    A = np.block([[loop.A, np.outer(loop.b_ref, sv.c)],
+                  [np.zeros((nv, nxi)), sv.A]])
+    g, out_row = np.pad([loop.g, loop.rows[0]], ((0, 0), (0, nv)))
+    e_r = np.append(loop.b_ref * sv.d, sv.b)
+    e_w = np.append(loop.b_dist, np.zeros(nv))
+    return loop, sv, A, np.column_stack([g, e_r, e_w]), out_row
+
+
 def simulate(scenario: SimScenario) -> SimTrace:
     """Run the scenario and return the recorded trace.
 
@@ -145,8 +164,7 @@ def simulate(scenario: SimScenario) -> SimTrace:
     blocks come from one product up front.
     """
     design = scenario.design
-    loop = _stacked_loop(design)
-    sv = realize(design.prefilter)
+    loop, sv, A, cols, out_row = design._memoized("sim_engine.step", _step_data)
     nxi, nv = loop.A.shape[0], sv.order
     packetized = scenario.model == "packetized"
     d_hat = design.d_hat
@@ -163,15 +181,7 @@ def simulate(scenario: SimScenario) -> SimTrace:
     L = min(n, d_hat + 1 + int(np.min(k[read] - held[read], initial=n)))
     blocks = -(-(n - 1) // L)
 
-    # The prefilter state x_V rides along after xi, so r_V,k = c_V x_V,k +
-    # d_V r_k enters through the matrix: z = (xi, x_V) steps as
-    # z_{k+1} = A z_k + g y_hat_k + e_r r_k + e_w w_k.
-    A = np.block([[loop.A, np.outer(loop.b_ref, sv.c)],
-                  [np.zeros((nv, nxi)), sv.A]])
-    g, out_row = np.pad([loop.g, loop.rows[0]], ((0, 0), (0, nv)))
-    e_r = np.append(loop.b_ref * sv.d, sv.b)
-    e_w = np.append(loop.b_dist, np.zeros(nv))
-    free, forced = _lifted(A, np.column_stack([g, e_r, e_w]), out_row, L)
+    free, forced = _lifted(A, cols, out_row, L)
     step = np.hstack([free, forced[0].T])
     N = nxi + nv
 

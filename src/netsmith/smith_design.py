@@ -14,7 +14,7 @@ poles, derivatives), and the offending factors are deflated from H.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import json
 import math
 
@@ -35,9 +35,16 @@ ROOT_CLUSTER_TOL = 1e-6
 DEFLATION_MATCH_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredictorDesign:
     """A complete predictor design plus its delay bookkeeping.
+
+    A design is immutable: its fields cannot be reassigned, and its
+    transfer functions must not be edited in place.  The consumers rely
+    on this to compute each quantity that depends on the design alone
+    (the closed loop, ||M||, the loop gains, the stacked state matrices)
+    once per design and keep it in a private per-instance memo.
+    ``dataclasses.replace`` builds a new design with an empty memo.
 
     Fields
     ------
@@ -65,6 +72,18 @@ class PredictorDesign:
     d_hat: int
     tau_n_min: int
     tau_n_max: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def _memoized(self, key: str, compute):
+        """compute(self), evaluated on the first request for key only.
+
+        A call that raises stores nothing, so it raises again next time.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
 
     @property
     def tau_hat(self) -> int:

@@ -10,6 +10,12 @@ The uncertain test adds a multiplicative plant perturbation of gain
 bound alpha_A and checks four strict inequalities coupling alpha_A with
 the channel gain alpha_B and the four nominal loop gains.  Both tests
 are sufficient only: a failed certificate is not a proof of instability.
+
+Each test splits into a design factor and a channel factor, ||M||_inf
+times alpha(protocol, tau_bar).  The design factors (T, M, ||M|| and the
+loop gains) depend on the design alone, so they are computed once per
+design and kept in its memo; only the channel gain is evaluated per
+protocol and tau_bar.
 """
 from __future__ import annotations
 
@@ -45,30 +51,38 @@ def _closed_loop(design: PredictorDesign) -> RationalTF:
     return (C * P).feedback()
 
 
+def _T(design: PredictorDesign) -> RationalTF:
+    return design._memoized("stability_criteria.T", _closed_loop)
+
+
 def build_M(design: PredictorDesign) -> RationalTF:
     """Mismatch transfer function F * C P_hat/(1+C P_hat) * (z-1)/z."""
-    return design.filter * _closed_loop(design) * _diff_over_z(design.h)
+    return design.filter * _T(design) * _diff_over_z(design.h)
 
 
-def sensitivity(design: PredictorDesign) -> RationalTF:
-    """S = 1/(1 + C P_hat)."""
-    loop = design.controller * design.plant_nominal
-    one = RationalTF.constant(1.0, design.h)
-    return one - loop.feedback()
+def _M(design: PredictorDesign) -> RationalTF:
+    return design._memoized("stability_criteria.M", build_M)
+
+
+def _norm_M(design: PredictorDesign) -> float:
+    return design._memoized("stability_criteria.norm_M",
+                            lambda d: inf_norm(_M(d)))
+
+
+def _loop_gains(design: PredictorDesign):
+    T = _T(design)
+    alpha11 = inf_norm((1.0 - T) * _diff_over_z(design.h))
+    alpha12 = inf_norm(design.filter * T)
+    return alpha11, alpha12, _norm_M(design), alpha12
 
 
 def nominal_loop_gains(design: PredictorDesign):
     """The four loop gains (alpha11, alpha12, alpha21, alpha22).
 
-    alpha11 = ||S (z-1)/z||, alpha12 = alpha22 = ||F T||, and
-    alpha21 = ||F T (z-1)/z|| = ||M||, with T = C P_hat/(1+C P_hat).
+    alpha11 = ||S (z-1)/z|| with S = 1 - T, alpha12 = alpha22 = ||F T||,
+    and alpha21 = ||F T (z-1)/z|| = ||M||, with T = C P_hat/(1+C P_hat).
     """
-    T = _closed_loop(design)
-    dz = _diff_over_z(design.h)
-    alpha11 = inf_norm(sensitivity(design) * dz)
-    alpha12 = inf_norm(design.filter * T)
-    alpha21 = inf_norm(build_M(design))
-    return alpha11, alpha12, alpha21, alpha12
+    return design._memoized("stability_criteria.gains", _loop_gains)
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,7 @@ class StabilityVerdict:
 def check_nominal(design: PredictorDesign, protocol) -> StabilityVerdict:
     """Certify the exact-model packetized loop: ||M|| * alpha < 1."""
     protocol = protocol if isinstance(protocol, Protocol) else Protocol(str(protocol))
-    norm_M = inf_norm(build_M(design))
+    norm_M = _norm_M(design)
     alpha = alpha_formula(protocol, design.tau_bar)
     lhs = norm_M * alpha
     return StabilityVerdict(
@@ -191,7 +205,7 @@ def max_certified_tau(design: PredictorDesign, protocol,
     """
     protocol = protocol if isinstance(protocol, Protocol) else Protocol(str(protocol))
     gains = nominal_loop_gains(design) if alpha_A > 0 else None
-    norm_M = inf_norm(build_M(design)) if gains is None else gains[2]
+    norm_M = _norm_M(design)
     best = -1
     for tb in range(tau_limit + 1):
         alpha_B = alpha_formula(protocol, tb)
@@ -214,8 +228,7 @@ def margin_sweep(design: PredictorDesign, protocol, n: int = 512):
     """
     protocol = protocol if isinstance(protocol, Protocol) else Protocol(str(protocol))
     alpha = alpha_formula(protocol, design.tau_bar)
-    M = build_M(design)
     omega = np.linspace(0.0, np.pi / design.h, n + 1)[1:]
-    mag = np.abs([M(np.exp(1j * w * design.h)) for w in omega]) * alpha
+    mag = np.abs(_M(design)(np.exp(1j * omega * design.h))) * alpha
     floor = np.finfo(float).tiny
     return omega, 20.0 * np.log10(np.maximum(mag, floor))

@@ -13,7 +13,9 @@ from netsmith.packet_channel import (PacketTrace, Protocol, held_index, uniform_
 from netsmith.presets import demo_design
 from netsmith.sim_engine import (DIVERGENCE_LIMIT, SimScenario, SimTrace, simulate,
                                  simulate_sample_delay)
-from netsmith.smith_design import make_design
+from netsmith.smith_design import PredictorDesign, make_design
+import netsmith.lmi_assembly as la
+import netsmith.sim_engine as se
 from netsmith.presets import demo_controller, demo_plant, demo_prefilter
 
 
@@ -375,3 +377,23 @@ def test_sample_delay_direct_call_matches_scenario_path():
                                reference=np.full(steps, 1.2), steps=steps,
                                disturbance=dist, model="sample_delay")
         assert np.allclose(y, simulate(scenario).y, rtol=1e-12, atol=1e-12)
+
+
+def test_simulate_realizes_each_transfer_function_once_per_design(monkeypatch):
+    realized = []
+    for module in (la, se):
+        def counted(g, *args, _realize=module.realize, **kwargs):
+            realized.append(g)
+            return _realize(g, *args, **kwargs)
+        monkeypatch.setattr(module, "realize", counted)
+    d = demo_design()
+    trace = uniform_trace(200, 0, 2, 5)
+    first = _run(d, "p2", trace, 200)
+    second = _run(d, "p1", trace, 200, model="sample_delay")
+    parts = (d.plant_nominal, d.predictor_block, d.filter, d.controller, d.prefilter)
+    assert sorted(map(id, realized)) == sorted(map(id, parts))
+    fresh = PredictorDesign.from_dict(d.to_dict())
+    assert first.to_csv() == _run(fresh, "p2", trace, 200).to_csv()
+    assert second.to_csv() == _run(fresh, "p1", trace, 200, model="sample_delay").to_csv()
+    with pytest.raises(ValueError, match="read-only"):
+        assemble_augmented(d).A_tilde[0, 0] = 0.0

@@ -10,7 +10,8 @@ from netsmith.lmi_assembly import assemble_augmented
 from netsmith.lti_core import NumericError, RationalTF, inf_norm
 from netsmith.packet_channel import Protocol
 from netsmith.presets import demo_controller, demo_design, demo_plant, demo_prefilter
-from netsmith.smith_design import make_design
+from netsmith.smith_design import PredictorDesign, make_design
+import netsmith.stability_criteria as sc
 from netsmith.stability_criteria import (StabilityVerdict, build_M, check_nominal,
                                          check_uncertain, margin_sweep,
                                          max_certified_tau, nominal_loop_gains)
@@ -134,6 +135,87 @@ def test_margin_sweep_sign_agrees_with_verdict():
         assert (mag_db.max() < 0.0) == certified
 
 
+@pytest.mark.parametrize("lam,kind", [(0.9, "p1"), (0.95, "p2"), (0.85, "p3")])
+def test_margin_sweep_equals_per_frequency_evaluation(lam, kind):
+    d = demo_design(lam=lam, h=0.5)
+    omega, mag_db = margin_sweep(d, Protocol(kind))
+    M = build_M(d)
+    alpha = alpha_formula(Protocol(kind), d.tau_bar)
+    mag = np.abs([M(np.exp(1j * w * d.h)) for w in omega]) * alpha
+    assert np.array_equal(omega, np.linspace(0.0, np.pi / d.h, 513)[1:])
+    assert np.array_equal(mag_db, 20.0 * np.log10(np.maximum(mag, np.finfo(float).tiny)))
+
+
+def _counting(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_design_factors_computed_once_per_design(monkeypatch):
+    calls = {}
+    _counting(monkeypatch, sc, "inf_norm", calls)
+    _counting(monkeypatch, sc, "build_M", calls)
+    d = demo_design()
+    for kind in ("p1", "p2", "p3"):
+        check_nominal(d, Protocol(kind))
+        max_certified_tau(d, Protocol(kind))
+        max_certified_tau(d, Protocol(kind), alpha_A=0.02)
+    check_uncertain(d, Protocol("p1"), alpha_A=0.02)
+    margin_sweep(d, Protocol("p2"))
+    nominal_loop_gains(d)
+    assert calls == {"inf_norm": 3, "build_M": 1}
+
+
+def test_design_is_frozen_and_replace_starts_from_an_empty_memo():
+    d = demo_design()
+    gains = nominal_loop_gains(d)
+    slower = demo_design(lam=0.95)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.filter = slower.filter
+    swapped = dataclasses.replace(d, filter=slower.filter)
+    rebuilt = PredictorDesign.from_dict({**d.to_dict(),
+                                         "filter": slower.filter.to_dict()})
+    assert nominal_loop_gains(swapped) == nominal_loop_gains(rebuilt)
+    assert nominal_loop_gains(swapped) == nominal_loop_gains(slower) != gains
+    assert nominal_loop_gains(d) == gains
+
+
+def _design_queries(design):
+    """Every design-only result the certificates report, by name."""
+    queries = {"gains": lambda: nominal_loop_gains(design)}
+    for kind in ("p1", "p2", "p3"):
+        p = Protocol(kind)
+        queries.update({
+            f"{kind} nominal": lambda p=p: check_nominal(design, p).to_dict(),
+            f"{kind} uncertain": lambda p=p: check_uncertain(design, p, 0.03).to_dict(),
+            f"{kind} scan": lambda p=p: max_certified_tau(design, p),
+            f"{kind} scan uncertain": lambda p=p: max_certified_tau(design, p, 0.03),
+            f"{kind} sweep": lambda p=p: [a.tolist() for a in margin_sweep(design, p)],
+        })
+    return queries
+
+
+def test_memoized_design_matches_a_fresh_copy_queried_in_another_order():
+    rng = np.random.default_rng(2026)
+    for _ in range(12):
+        tmax = int(rng.integers(1, 5))
+        d = make_design(demo_plant(), demo_controller(), demo_prefilter(),
+                        d_hat=int(rng.integers(1, 11)),
+                        tau_n_min=int(rng.integers(0, tmax)), tau_n_max=tmax,
+                        lam=float(rng.uniform(0.8, 0.97)))
+        memoized = _design_queries(d)
+        for query in memoized.values():
+            query()
+        fresh = _design_queries(PredictorDesign.from_dict(d.to_dict()))
+        want = {name: fresh[name]() for name in reversed(list(fresh))}
+        assert {name: query() for name, query in memoized.items()} == want
+
+
 def test_unstable_nominal_loop_raises():
     bad = make_design(demo_plant(), RationalTF.constant(1000.0, 1.0),
                       demo_prefilter(), d_hat=5, tau_n_min=0, tau_n_max=2)
@@ -145,12 +227,13 @@ def test_unstable_cancellation_raises():
     # the controller zero at 1.051 cancels the unstable plant pole
     bad = make_design(demo_plant(), RationalTF([5.0, -5.0 * 1.051], [1.0, -0.5]),
                       demo_prefilter(), d_hat=5, tau_n_min=0, tau_n_max=2)
-    with pytest.raises(NumericError, match="unstable"):
-        check_nominal(bad, Protocol("p1"))
-    with pytest.raises(NumericError, match="unstable"):
-        check_uncertain(bad, Protocol("p1"), alpha_A=0.02)
-    with pytest.raises(NumericError, match="unstable"):
-        max_certified_tau(bad, Protocol("p1"))
+    for _ in range(2):  # a failure is not memoized: it raises every time
+        with pytest.raises(NumericError, match="unstable"):
+            check_nominal(bad, Protocol("p1"))
+        with pytest.raises(NumericError, match="unstable"):
+            check_uncertain(bad, Protocol("p1"), alpha_A=0.02)
+        with pytest.raises(NumericError, match="unstable"):
+            max_certified_tau(bad, Protocol("p1"))
 
 
 def _lifted_spectral_radius(design):
