@@ -148,6 +148,9 @@ def cmd_check(args) -> int:
     config = _config_dict("check", args)
 
     if args.scan:
+        if args.tau_max is not None or args.bode is not None:
+            raise ValueError("--scan finds the bound itself; it takes neither "
+                             "--tau-max nor --bode")
         best = max_certified_tau(design, protocol, alpha_A=args.alpha_a)
         doc = {
             "alpha_a": args.alpha_a,
@@ -227,7 +230,7 @@ def _delays_for(args, design: PredictorDesign) -> PacketTrace:
 
 def cmd_simulate(args) -> int:
     design = _load_design(args.design)
-    if args.selector == "random" and args.seed is None:
+    if args.protocol == "p3" and args.selector == "random" and args.seed is None:
         raise ValueError("random packet selection needs an explicit --seed")
     protocol = Protocol(args.protocol, selector=args.selector,
                         seed=args.seed if args.seed is not None else 0)

@@ -7,8 +7,8 @@ gain alpha_T = ||w||_2 / ||v||_2 over k = 0..T+2 tau_bar depends on the
 selection protocol; this module provides
 
   * the closed-form protocol gains alpha(protocol, tau_bar),
-  * the adversarial delay pattern and the block-sum evaluation of the
-    worst-case squared norm,
+  * the block-sum evaluation of the worst-case squared norm under the
+    adversarial delay pattern,
   * an exact oracle, a dynamic program over packets in send order whose
     cost is linear in T, that maximizes over every admissible delay
     assignment (and, for p3, packet selections) to validate both,
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .packet_channel import PacketTrace, Protocol, worst_case_trace
+from .packet_channel import PacketTrace, Protocol, receive, worst_case_trace
 
 
 def _as_protocol(protocol) -> Protocol:
@@ -49,15 +49,6 @@ def alpha_formula(protocol, tau_bar: int) -> float:
     if kind == "p2":
         return max(math.sqrt(tb * (14 * tb**2 - 9 * tb + 1) / (6 * (tb + 1))), 1.0)
     return math.sqrt(tb * (14 * tb + 1) / 6)
-
-
-def worst_case_pattern(tau_bar: int, T: int) -> PacketTrace:
-    """Adversarial delays (tau_bar, tau_bar-1, ..., 0, repeating), T+1 packets."""
-    if tau_bar < 1:
-        raise ValueError("worst-case pattern needs tau_bar >= 1")
-    if T < 0:
-        raise ValueError("horizon must be non-negative")
-    return worst_case_trace(T + 1, tau_bar)
 
 
 def full_block_energy(tau_bar: int, v_bar: float = 1.0) -> float:
@@ -120,10 +111,6 @@ class OracleResult:
     evaluations: int
 
 
-def _tail_delays(tau_bar: int, T: int) -> list:
-    return [tau_bar - (j % (tau_bar + 1)) for j in range(T + 1, T + 2 * tau_bar + 1)]
-
-
 def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleResult:
     """Exact worst-case gain over all admissible delay assignments.
 
@@ -133,65 +120,53 @@ def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleRes
     maximum since any burst they join only extends an existing hold.
 
     The mismatch energy is a sum over receive instants, so the maximum
-    is a dynamic program over packets in send order j = 0..T+2 tau_bar.
-    The state before packet j is the held index (-1 while holding zero)
-    and the arrival instant of each of packets j-tau_bar..j-1 still in
-    flight.  Once tau_j is chosen no later packet can arrive at instant
-    j, so the protocol is applied there and (a_j - a_held)^2 is added.
-    A forward sweep lists the reachable states, a backward sweep gives
-    each state's value-to-go, and a second forward sweep takes at every
-    j the smallest tau_j that attains it.  The ramp is kept in integers
-    (v_bar = 1) and scaled by v_bar^2 at the end, so ties are exact.
-    Cost: at most (2 tau_bar + 2)(tau_bar + 1)! states per packet, each
-    with tau_bar+1 moves, so the work is linear in T.
+    is a dynamic program over packets in send order j = 0..T+2 tau_bar,
+    on the receiver automaton ``packet_channel.receive``: choosing tau_j
+    fixes the staleness s held at j, which adds (a_j - a_{j-s})^2, or
+    a_j^2 while nothing is held.  A forward sweep lists the reachable
+    states, a backward sweep gives each state's value-to-go, and a
+    second forward sweep takes at every j the smallest tau_j that
+    attains it.  The ramp is kept in integers (v_bar = 1) and scaled by
+    v_bar^2 at the end, so ties are exact.  The states do not depend on
+    j, so each transition is computed once per call.  Cost: at most
+    (2 tau_bar + 2)(tau_bar + 1)! states, each with tau_bar+1 moves, so
+    the work is linear in T.
 
-    Selection rules: p1 takes the newest arrival if it is newer than the
-    held index; p2 and p3 with the ``newest`` selector take the newest
-    arrival, as ``run_channel`` does.  For p3 with the ``oldest``
-    selector the packet choice is part of the maximization: with a
-    non-decreasing ramp, always choosing the oldest arrival is pointwise
-    optimal.  A ``random`` p3 selector has no worst case over delays
-    alone and raises ValueError.
+    For p3 the oldest selector is also the worst packet choice: with a
+    non-decreasing ramp it is pointwise optimal.  The random selector
+    has no deterministic transition and raises ValueError.
 
     Ties resolve to the lexicographically smallest head delay tuple.
     ``evaluations`` is the number of head assignments the maximum ranges
     over, not the work done.
     """
     protocol = _as_protocol(protocol)
-    if protocol.kind == "p3" and protocol.selector == "random":
-        raise ValueError("the oracle needs a deterministic p3 selector "
-                         "(oldest or newest), not random")
     if tau_bar < 0:
         raise ValueError("tau_bar must be non-negative")
     if T < 0:
         raise ValueError("horizon must be non-negative")
     tb = tau_bar
-    oldest = protocol.kind == "p3" and protocol.selector == "oldest"
-    fresh_only = protocol.kind == "p1"
     # ramp[-1] = 0 is the value held before the first packet is used
     ramp = [min(k + 1, T + 1) for k in range(T + 2 * tb + 1)] + [0]
-    moves = [range(tb + 1)] * (T + 1) + [(t,) for t in _tail_delays(tb, T)]
+    tail = worst_case_trace(T + 2 * tb + 1, tb).delays[T + 1:]
+    moves = [range(tb + 1)] * (T + 1) + [(t,) for t in tail]
 
-    # an in-flight arrival of -1 marks a packet already used up or not sent
-    start = (-1, (-1,) * tb)
+    step = {}
+    start = (None, (None,) * tb)
     layers = []
     states = {start}
     for j, delays in enumerate(moves):
         edges = {}
-        for held, flight in states:
+        for state in states:
             out = []
             for t in delays:
-                arrive = flight + (j + t,)
-                hits = [j - tb + i for i, p in enumerate(arrive) if p == j]
-                new = held
-                if hits:
-                    if oldest:
-                        new = hits[0]
-                    elif not fresh_only or hits[-1] > held:
-                        new = hits[-1]
-                nxt = (new, tuple(p if p > j else -1 for p in arrive[1:]))
-                out.append((t, (ramp[j] - ramp[new]) ** 2, nxt))
-            edges[(held, flight)] = out
+                hit = step.get((state, t))
+                if hit is None:
+                    hit = step[(state, t)] = receive(protocol, state, t)
+                stale, nxt = hit
+                held = -1 if stale is None else j - stale
+                out.append((t, (ramp[j] - ramp[held]) ** 2, nxt))
+            edges[state] = out
         layers.append(edges)
         states = {nxt for out in edges.values() for _, _, nxt in out}
 
@@ -202,16 +177,12 @@ def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleRes
                        for s, out in edges.items()})
     values.reverse()
 
-    head = []
-    state = start
+    head, state = [], start
     for j in range(T + 1):
-        later = values[j + 1]
         goal = values[j][state]
-        for t, c, nxt in layers[j][state]:
-            if c + later[nxt] == goal:
-                head.append(t)
-                state = nxt
-                break
+        t, _, state = next((t, c, nxt) for t, c, nxt in layers[j][state]
+                           if c + values[j + 1][nxt] == goal)
+        head.append(t)
 
     best = values[0][start]
     trace = PacketTrace(tuple(head), 0, tb)

@@ -9,13 +9,14 @@ selection protocols to the arrival set I(p) = {k : k + tau_k = p}:
       last used one; otherwise keep holding the previous value.
   p2  use the newest index among the current arrivals, even if it is
       older than the last used one; hold when nothing arrives.
-  p3  use any member of I(p), configurable as oldest, newest, or
-      seeded-random; hold when nothing arrives.
+  p3  use the oldest or a seeded-random member of I(p) (the newest
+      member is the p2 rule); hold when nothing arrives.
 
-No rule reads the sample values, so the channel is one integer map:
-``held_index`` gives the send index held at every instant (-1, value 0,
-before the first packet), and ``run_channel`` reads the samples through
-it.
+The rules live here only.  No rule reads the sample values, so the
+channel is one integer map: ``held_index`` gives the send index held at
+every instant (-1, value 0, before the first packet), and ``run_channel``
+reads the samples through it.  ``receive`` steps the same receiver one
+packet at a time, for searches over delays.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import io
 import numpy as np
 
 PROTOCOL_KINDS = ("p1", "p2", "p3")
-P3_SELECTORS = ("oldest", "newest", "random")
+P3_SELECTORS = ("oldest", "random")
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def held_index(trace: PacketTrace, protocol: Protocol, n: int) -> np.ndarray:
 
       p1             running maximum of the arrived send indices; an
                      arrival older than the held one never wins.
-      p2, p3-newest  the largest index in I(p).
+      p2             the largest index in I(p).
       p3-oldest      the smallest index in I(p).
       p3-random      a seeded uniform draw from I(p) sorted ascending, one
                      draw per non-empty instant in time order.
@@ -144,12 +145,11 @@ def held_index(trace: PacketTrace, protocol: Protocol, n: int) -> np.ndarray:
               packet q + 1 - tau_min exists; it arrives within (q, q +
               tau_max - tau_min + 1], and nothing arrives in (q, p], so
               p <= q + tau_max - tau_min.
-      p2      also s_p <= max(tau_max, 2 tau_max - tau_min - 1), which
-              p3-newest shares.  If j < q - tau_min, packet q - tau_min
-              (>= 0, as q >= tau_min) lands at q or later but is not in
-              I(q), where it would beat j, so p < q - tau_min + tau_max
-              and s_p <= 2 tau_max - tau_min - 1.  Otherwise j >= q -
-              tau_min and s_p <= tau_max.
+      p2      also s_p <= max(tau_max, 2 tau_max - tau_min - 1).  If j <
+              q - tau_min, packet q - tau_min (>= 0, as q >= tau_min) lands
+              at q or later but is not in I(q), where it would beat j, so
+              p < q - tau_min + tau_max and s_p <= 2 tau_max - tau_min - 1.
+              Otherwise j >= q - tau_min and s_p <= tau_max.
 
     Each bound is attained by some trace.
     """
@@ -159,8 +159,6 @@ def held_index(trace: PacketTrace, protocol: Protocol, n: int) -> np.ndarray:
     keep = arrival < n
     index, arrival = index[keep], arrival[keep]
     rule = protocol.selector if protocol.kind == "p3" else protocol.kind
-    # the newest selector applies the p2 rule: max(I(p)), hold when empty
-    rule = "p2" if rule == "newest" else rule
     pick = np.full(n, -1)
     if rule in ("p1", "p2"):
         np.maximum.at(pick, arrival, index)
@@ -178,6 +176,33 @@ def held_index(trace: PacketTrace, protocol: Protocol, n: int) -> np.ndarray:
         pick[instants] = index[order][first + draws]
     # hold: carry each pick forward to the next instant that has one
     return pick[np.maximum.accumulate(np.where(pick >= 0, np.arange(n), 0))]
+
+
+def receive(protocol: Protocol, state: tuple, delay: int) -> tuple:
+    """``held_index`` as a time-invariant automaton, one packet at a time.
+
+    The state before packet j is the staleness held at j-1 (None while
+    nothing is held) and, for packets j-tau_max .. j-1, the arrival
+    instant minus j (None once arrived or not sent); the start is
+    (None, (None,) * tau_max).  Packet j is sent with ``delay``; no later
+    packet lands at j, so I(j) is known.  Returns the staleness held at j
+    and the state before packet j+1.  p3-random raises ValueError.
+    """
+    rule = protocol.selector if protocol.kind == "p3" else protocol.kind
+    if rule == "random":
+        raise ValueError("random p3 selection has no deterministic transition")
+    stale, flight = state
+    if not 0 <= delay <= len(flight):
+        raise ValueError(f"delay {delay} outside [0, {len(flight)}]")
+    arrive = flight + (delay,)
+    # packet j - tau_max + i lands now with staleness tau_max - i
+    hits = [len(flight) - i for i, d in enumerate(arrive) if d == 0]
+    held = None if stale is None else stale + 1
+    if hits:
+        pick = hits[0] if rule == "oldest" else hits[-1]
+        if rule != "p1" or held is None or pick < held:
+            held = pick
+    return held, (held, tuple(d - 1 if d else None for d in arrive[1:]))
 
 
 def run_channel(values, trace: PacketTrace, protocol: Protocol):

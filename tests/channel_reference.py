@@ -51,8 +51,6 @@ def channel_step(state: ChannelState, protocol: Protocol, p: int, samples) -> fl
         else:
             if protocol.selector == "oldest":
                 choice = min(arrivals)
-            elif protocol.selector == "newest":
-                choice = max(arrivals)
             else:
                 choice = arrivals[int(state.rng_for(protocol).integers(len(arrivals)))]
     if choice is None:

@@ -68,8 +68,7 @@ def test_oracle_soundness_against_analytic_bounds():
     worst = -math.inf
     count = 0
     for proto in (Protocol("p1"), Protocol("p2"),
-                  Protocol("p3", selector="oldest"),
-                  Protocol("p3", selector="newest")):
+                  Protocol("p3", selector="oldest")):
         for tau_bar in (1, 2, 3):
             bound = alpha_formula(proto, tau_bar)
             for T in range(0, 9):

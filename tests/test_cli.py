@@ -88,6 +88,22 @@ def test_check_scan_reports_threshold(design_file, capsys):
         assert doc["max_certified_tau_bar"] == want
 
 
+def test_check_scan_refuses_tau_max(design_file, capsys):
+    rc = main(["check", design_file, "--protocol", "p1", "--scan", "--tau-max", "4"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--tau-max" in captured.err and captured.out == ""
+
+
+def test_check_scan_refuses_bode(design_file, tmp_path, capsys):
+    bode = tmp_path / "b.csv"
+    rc = main(["check", design_file, "--protocol", "p1", "--scan",
+               "--bode", str(bode)])
+    assert rc == 2
+    assert "--bode" in capsys.readouterr().err
+    assert not bode.exists()
+
+
 def test_check_verdict_document(design_file, capsys):
     main(["check", design_file, "--protocol", "p2", "--tau-max", "2"])
     doc = json.loads(capsys.readouterr().out)
@@ -190,6 +206,24 @@ def test_simulate_requires_seed_for_random(design_file, capsys):
     assert main(["simulate", design_file, "--protocol", "p3",
                  "--selector", "random", "--delays", "pattern",
                  "--steps", "10"]) == 2
+
+
+def test_simulate_reads_selector_for_p3_only(design_file, capsys):
+    base = ["simulate", design_file, "--protocol", "p1", "--delays", "pattern",
+            "--steps", "20"]
+    assert main(base) == 0
+    plain = capsys.readouterr().out
+    assert main(base + ["--selector", "random"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("command", ["oracle", "simulate"])
+def test_newest_selector_is_usage_error(design_file, command, capsys):
+    argv = {"oracle": ["oracle", "--protocol", "p3", "--tau-max", "2", "--horizon", "4"],
+            "simulate": ["simulate", design_file, "--protocol", "p3",
+                         "--delays", "pattern", "--steps", "10"]}[command]
+    assert main(argv + ["--selector", "newest"]) == 2
+    assert "newest" in capsys.readouterr().err
 
 
 def test_simulate_from_delay_file(design_file, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Packetized channel semantics for the three access protocols.
 
 The property tests re-derive each protocol's selection rule with an
-independent fold over the arrival sets, and run the per-step reference
-receiver of ``channel_reference`` against the ``held_index`` map.
+independent fold over the arrival sets, run the per-step reference
+receiver of ``channel_reference`` against the ``held_index`` map, and
+replay the ``receive`` automaton against it.
 """
 
 import numpy as np
@@ -11,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channel_reference import ChannelState, channel_step
-from netsmith.packet_channel import (PacketTrace, Protocol, held_index, run_channel,
-                                     uniform_trace, worst_case_trace)
+from netsmith.packet_channel import (PacketTrace, Protocol, held_index, receive,
+                                     run_channel, uniform_trace, worst_case_trace)
 
-LABELS = [("p1", "oldest"), ("p2", "oldest"), ("p3", "oldest"), ("p3", "newest"),
-          ("p3", "random")]
+LABELS = [("p1", "oldest"), ("p2", "oldest"), ("p3", "oldest"), ("p3", "random")]
 
 
 def test_worst_case_trace_pattern():
@@ -84,13 +84,18 @@ def test_p2_holds_previous_output_when_empty():
 
 
 def test_p3_selector_split_on_burst():
-    # all three packets land at p=2
+    # all three packets land at p=2; the newest member is the p2 rule
     tr = PacketTrace((2, 1, 0), 0, 2)
     vals = np.array([10.0, 20.0, 30.0])
     oldest = run_channel(vals, tr, Protocol("p3", selector="oldest"))
-    newest = run_channel(vals, tr, Protocol("p3", selector="newest"))
+    newest = run_channel(vals, tr, Protocol("p2"))
     assert oldest[2] == 10.0
     assert newest[2] == 30.0
+
+
+def test_p3_has_no_newest_selector():
+    with pytest.raises(ValueError, match="selector"):
+        Protocol("p3", selector="newest")
 
 
 def test_p3_random_is_seeded_and_member():
@@ -226,7 +231,7 @@ def _staleness_bound(label, tau_min, tau_max):
     """The bounds the held_index docstring proves."""
     if label == "p1":
         return tau_max
-    if label in ("p2", "p3-newest"):
+    if label == "p2":
         return max(tau_max, 2 * tau_max - tau_min - 1)
     return 2 * tau_max - tau_min
 
@@ -256,8 +261,44 @@ def test_staleness_bounds_are_attained(tau_min, tau_max):
     p2_case = _p2_stalest(tau_min, tau_max) if tau_max > tau_min else constant
     for label, proto, trace in [("p1", Protocol("p1"), constant),
                                 ("p2", Protocol("p2"), p2_case),
-                                ("p3-newest", Protocol("p3", selector="newest"), p2_case),
                                 ("p3-oldest", Protocol("p3"), pattern)]:
         m = len(trace)
         stale = np.arange(m) - held_index(trace, proto, m)
         assert stale.max() == _staleness_bound(label, tau_min, tau_max), label
+
+
+@settings(max_examples=150, deadline=None)
+@given(channel_cases())
+def test_receive_replays_held_index(case):
+    trace, protocol = case
+    state = (None, (None,) * trace.tau_max)
+    if protocol.label == "p3-random":
+        with pytest.raises(ValueError, match="random"):
+            receive(protocol, state, trace.delays[0])
+        return
+    held = []
+    for j, t in enumerate(trace.delays):
+        stale, state = receive(protocol, state, t)
+        held.append(-1 if stale is None else j - stale)
+    assert np.array_equal(held_index(trace, protocol, len(trace)), held)
+
+
+@pytest.mark.parametrize("tau_min,tau_max", [(0, 1), (0, 3), (1, 3), (3, 3), (1, 4)])
+def test_staleness_bounds_hold_on_every_trace(tau_min, tau_max):
+    """A search of every receiver state that delays in [tau_min, tau_max]
+    reach attains each bound the held_index docstring proves, and no more.
+    Instants before the first packet lands (staleness None) are at most
+    tau_max stale, which that proof covers separately."""
+    for label, proto in [("p1", Protocol("p1")), ("p2", Protocol("p2")),
+                         ("p3-oldest", Protocol("p3"))]:
+        start = (None, (None,) * tau_max)
+        seen, frontier, worst = {start}, [start], -1
+        while frontier:
+            state = frontier.pop()
+            for t in range(tau_min, tau_max + 1):
+                stale, nxt = receive(proto, state, t)
+                worst = max(worst, -1 if stale is None else stale)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        assert worst == _staleness_bound(label, tau_min, tau_max), label
