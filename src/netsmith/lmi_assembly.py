@@ -184,14 +184,6 @@ class LmiProblem:
     variable_count: int
     free_parameter_count: int
 
-    def block_csv(self) -> dict:
-        """Dense CSV text per constant block, 17 significant digits."""
-        out = {}
-        for name, mat in self.blocks.items():
-            rows = [",".join(f"{v:.17g}" for v in row) for row in np.atleast_2d(mat)]
-            out[name] = "\n".join(rows) + "\n"
-        return out
-
 
 def _generic_count(unknowns: dict) -> int:
     return sum(m * (m + 1) // 2 for m in unknowns.values())

@@ -9,8 +9,12 @@ seconds; the frequency response is G evaluated at z = exp(1j*omega*h) for
 omega in [0, pi/h].  Serialized form is ``{"num": [...], "den": [...],
 "h": ...}`` with descending-power coefficient arrays.
 
-The infinity norm comes from a Hamiltonian level-set iteration, not a
-frequency grid; ``inf_norm`` states the bracket it guarantees.
+Arithmetic is exact on coefficients: sums, products and feedback
+combine the numerator and denominator polynomials and never remove a
+pole-zero pair.  Cancellation happens only where a caller asks for it,
+through ``cancel``.  The infinity norm comes from a Hamiltonian level-set
+iteration, not a frequency grid; ``inf_norm`` states the bracket it
+guarantees.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ import math
 import numpy as np
 
 ARITH_CANCEL_TOL = 1e-8
-REALIZE_CANCEL_TOL = 1e-6
 UNIT_CIRCLE_TOL = 1e-8
 NORM_REL_TOL = 1e-12
 
@@ -89,6 +92,16 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + Polynomial(-other.coeffs)
 
+    def __divmod__(self, other: "Polynomial"):
+        """Quotient and remainder of the long division of self by other."""
+        n = other.degree
+        r = self.coeffs.copy()
+        q = np.zeros(max(self.degree - n + 1, 1))
+        for k in range(self.degree - n + 1):
+            q[k] = r[k] / other.coeffs[0]
+            r[k:k + n + 1] -= q[k] * other.coeffs
+        return Polynomial(q), Polynomial(r[max(r.size - n, 0):])
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial)
                 and self.coeffs.shape == other.coeffs.shape
@@ -151,14 +164,6 @@ class RationalTF:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def poles(self) -> np.ndarray:
-        return roots(self.den)
-
-    def zeros(self) -> np.ndarray:
-        if self.num.is_zero or self.num.degree == 0:
-            return np.zeros(0, dtype=complex)
-        return roots(self.num)
-
     def __call__(self, z):
         return self.num(z) / self.den(z)
 
@@ -217,43 +222,24 @@ def _coerce(value, h: float) -> RationalTF:
     return RationalTF.constant(float(value), h)
 
 
-def _match_and_cancel(num_roots, den_roots, tol: float):
-    """Greedily pair numerator and denominator roots closer than tol."""
-    den = list(den_roots)
-    kept_num = []
-    for z in num_roots:
-        best = None
-        best_dist = tol
-        for i, p in enumerate(den):
-            d = abs(z - p)
-            if d < best_dist:
-                best, best_dist = i, d
-        if best is None:
-            kept_num.append(z)
-        else:
-            den.pop(best)
-    return kept_num, den
-
-
-def cancel(g: RationalTF, tol: float = ARITH_CANCEL_TOL) -> RationalTF:
-    """Remove near-common num/den root pairs closer than tol; g itself
-    when tol <= 0, since no pair can be closer than that."""
+def cancel(g: RationalTF) -> RationalTF:
+    """Remove num/den root pairs closer than ``ARITH_CANCEL_TOL``, pairing
+    each numerator root greedily with the nearest denominator root."""
     if g.num.is_zero:
         return RationalTF([0.0], [1.0], g.h)
-    if tol <= 0:
-        return g
-    num_lead = g.num.coeffs[0]
-    den_lead = g.den.coeffs[0]
-    num_roots = list(roots(g.num)) if g.num.degree > 0 else []
-    den_roots = list(roots(g.den)) if g.den.degree > 0 else []
-    kept_num, kept_den = _match_and_cancel(num_roots, den_roots, tol)
-    if len(kept_num) == len(num_roots) and len(kept_den) == len(den_roots):
+    kept_num, kept_den = [], list(roots(g.den))
+    for z in roots(g.num):
+        dist = [abs(z - p) for p in kept_den]
+        if dist and min(dist) < ARITH_CANCEL_TOL:
+            kept_den.pop(int(np.argmin(dist)))
+        else:
+            kept_num.append(z)
+    if len(kept_den) == g.den.degree:
         # nothing cancelled; keep the exact coefficients instead of
         # round-tripping them through the root finder
         return g
-    num = Polynomial.from_roots(kept_num, num_lead)
-    den = Polynomial.from_roots(kept_den, den_lead)
-    return RationalTF(num, den, g.h)
+    return RationalTF(Polynomial.from_roots(kept_num, g.num.coeffs[0]),
+                      Polynomial.from_roots(kept_den, g.den.coeffs[0]), g.h)
 
 
 def tf_arith(lhs: RationalTF, rhs: RationalTF, kind: str) -> RationalTF:
@@ -263,14 +249,15 @@ def tf_arith(lhs: RationalTF, rhs: RationalTF, kind: str) -> RationalTF:
     ----------
     lhs, rhs : RationalTF
         Operands; sampling times must match.  For ``feedback`` only ``lhs``
-        is used and the result is lhs/(1+lhs).
+        is used and the result is lhs.num / (lhs.den + lhs.num), which is
+        lhs/(1+lhs) without the common factor lhs.den ever being formed.
     kind : {"add", "mul", "feedback"}
 
     Returns
     -------
     RationalTF
-        Result after exact coefficient arithmetic and near-common-root
-        cancellation at tolerance ``ARITH_CANCEL_TOL``.
+        Result of exact coefficient arithmetic.  No pole-zero pair is
+        cancelled; call ``cancel`` for that.
     """
     if lhs.h != rhs.h:
         raise ValueError(f"sampling-time mismatch: {lhs.h} != {rhs.h}")
@@ -280,18 +267,18 @@ def tf_arith(lhs: RationalTF, rhs: RationalTF, kind: str) -> RationalTF:
         num = lhs.num * rhs.den + rhs.num * lhs.den
         out = RationalTF(num, lhs.den * rhs.den, lhs.h)
     elif kind == "feedback":
-        out = RationalTF(lhs.num * lhs.den, (lhs.den + lhs.num) * lhs.den, lhs.h)
+        out = RationalTF(lhs.num, lhs.den + lhs.num, lhs.h)
     else:
         raise ValueError(f"unknown arithmetic kind {kind!r}")
     if out.den.is_zero:
         raise NumericError("zero denominator after composition")
-    return cancel(out, ARITH_CANCEL_TOL)
+    return out
 
 
 def inf_norm(g: RationalTF) -> float:
     """Supremum of |g| on the unit circle, by a Hamiltonian level set.
 
-    g is realized without cancellation and mapped to continuous time by
+    g is realized as given and mapped to continuous time by
     z = z0 (1+s)/(1-s), which takes the unit circle onto the imaginary
     axis and s = infinity to z = -z0.  Starting from the largest |g| at
     theta = 0, at pi and at the pole angles, each step sets the level
@@ -311,7 +298,7 @@ def inf_norm(g: RationalTF) -> float:
     """
     if g.num.is_zero:
         return 0.0
-    ss = realize(g, 0.0)
+    ss = realize(g)
     n = ss.order
     if n == 0:
         return abs(ss.d)
@@ -380,15 +367,14 @@ class StateSpace:
         return np.zeros(self.order)
 
 
-def realize(g: RationalTF, tol: float = REALIZE_CANCEL_TOL) -> StateSpace:
-    """Controllable canonical realization after pole-zero cancellation.
+def realize(g: RationalTF) -> StateSpace:
+    """Controllable canonical realization of the coefficients of g.
 
     Parameters
     ----------
     g : RationalTF
-        Proper transfer function.  Near-cancelling pole-zero pairs within
-        ``tol`` are removed first; the returned order equals the degree of
-        the denominator that remains.
+        Proper transfer function.  No pole-zero pair is cancelled: the
+        returned order equals the degree of g.den.
 
     Returns
     -------
@@ -396,7 +382,7 @@ def realize(g: RationalTF, tol: float = REALIZE_CANCEL_TOL) -> StateSpace:
     """
     if not g.is_proper:
         raise ValueError("cannot realize an improper transfer function")
-    gc = cancel(g, tol).normalized()
+    gc = g.normalized()
     n = gc.den.degree
     padded = np.zeros(n + 1)
     padded[n + 1 - gc.num.coeffs.size:] = gc.num.coeffs

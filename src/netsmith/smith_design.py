@@ -10,7 +10,8 @@ fitted so that the prediction block
 is stable even when the nominal plant P_hat has poles on or outside the
 unit circle: at every such pole the numerator factor
 z**tau_hat * nu_F(z) - mu_F(z) is forced to zero (value and, for repeated
-poles, derivatives), and the offending factors are deflated from H.
+poles, derivatives), and the offending factor is divided out of H
+exactly, by polynomial division.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ F_DC_TOL = 1e-9
 INTERP_RESIDUAL_TOL = 1e-6
 STABLE_POLE_MARGIN = 1e-8
 ROOT_CLUSTER_TOL = 1e-6
-DEFLATION_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -319,39 +319,35 @@ def build_H(plant: RationalTF, filt: RationalTF, tau_hat: int) -> RationalTF:
     """Assemble the stable prediction block H = P_hat (1 - z**(-tau_hat) F).
 
     The rational form is mu_hat (z**tau_hat nu_F - mu_F) over
-    z**tau_hat nu_hat nu_F.  Every denominator root with modulus >=
-    1 - STABLE_POLE_MARGIN must be matched by a numerator root within
-    DEFLATION_MATCH_TOL and is removed by root-based deflation; a leftover
-    unmatched root means the filter violates its interpolation constraint.
+    z**tau_hat nu_hat nu_F.  Let den_u be the monic factor of nu_hat whose
+    roots have modulus >= 1 - STABLE_POLE_MARGIN.  The interpolation
+    constraints make den_u divide z**tau_hat nu_F - mu_F, so polynomial
+    division takes it out of numerator and denominator alike:
+
+        H = mu_hat q / (z**tau_hat (nu_hat / den_u) nu_F),
+        q = (z**tau_hat nu_F - mu_F) / den_u.
+
+    Raises NumericError when the remainder of the division exceeds
+    INTERP_RESIDUAL_TOL relative to the dividend, that is when the filter
+    violates its interpolation constraint.
     """
     if tau_hat < 0:
         raise ValueError("compensated delay must be non-negative")
     num_factor = _shift_poly(filt.den, tau_hat) - filt.num
-    num = plant.num * num_factor
-    den = _shift_poly(plant.den * filt.den, tau_hat)
-    if num.is_zero:
+    if plant.num.is_zero or num_factor.is_zero:
         return RationalTF([0.0], [1.0], plant.h)
-
-    num_roots = list(roots(num)) if num.degree > 0 else []
-    den_roots = list(roots(den)) if den.degree > 0 else []
-    kept_den = []
-    for p in den_roots:
-        if abs(p) < 1.0 - STABLE_POLE_MARGIN:
-            kept_den.append(p)
-            continue
-        match = None
-        best = DEFLATION_MATCH_TOL * max(1.0, abs(p))
-        for i, z in enumerate(num_roots):
-            if abs(z - p) < best:
-                match, best = i, abs(z - p)
-        if match is None:
-            raise NumericError(
-                f"residual unstable pole at z={p}: filter does not satisfy the "
-                f"interpolation constraint there")
-        num_roots.pop(match)
-    H = RationalTF(Polynomial.from_roots(num_roots, num.coeffs[0]),
-                   Polynomial.from_roots(kept_den, den.coeffs[0]), plant.h)
-    return cancel(H, DEFLATION_MATCH_TOL)
+    den_u = Polynomial.from_roots(
+        [p for p in roots(plant.den) if abs(p) >= 1.0 - STABLE_POLE_MARGIN])
+    q, rem = divmod(num_factor, den_u)
+    residual = np.max(np.abs(rem.coeffs)) / np.max(np.abs(num_factor.coeffs))
+    if residual > INTERP_RESIDUAL_TOL:
+        raise NumericError(
+            f"unstable plant poles do not divide z**tau_hat nu_F - mu_F "
+            f"(relative remainder {residual:.3e}): the filter does not "
+            f"satisfy its interpolation constraint")
+    stable_den = divmod(plant.den, den_u)[0]
+    return RationalTF(plant.num * q,
+                      _shift_poly(stable_den * filt.den, tau_hat), plant.h)
 
 
 def make_design(plant: RationalTF, controller: RationalTF, prefilter: RationalTF,
@@ -372,9 +368,10 @@ def make_design(plant: RationalTF, controller: RationalTF, prefilter: RationalTF
 
 def delay_free_reference(design: PredictorDesign) -> RationalTF:
     """Reference-to-output transfer function with the dead time removed:
-    V C P_hat / (1 + C P_hat)."""
+    V C P_hat / (1 + C P_hat), with its near-common pole-zero pairs
+    cancelled (such as a prefilter pole placed on a controller zero)."""
     loop = design.controller * design.plant_nominal
-    return design.prefilter * loop.feedback()
+    return cancel(design.prefilter * loop.feedback())
 
 
 def nominal_closed_loop(design: PredictorDesign):

@@ -29,6 +29,8 @@ from .lti_core import NumericError, RationalTF, inf_norm, roots
 from .packet_channel import Protocol
 from .smith_design import PredictorDesign, STABLE_POLE_MARGIN
 
+TAU_LIMIT = 1000
+
 
 def _diff_over_z(h: float) -> RationalTF:
     """(z-1)/z, the first-difference factor of the mismatch path."""
@@ -38,17 +40,17 @@ def _diff_over_z(h: float) -> RationalTF:
 def _closed_loop(design: PredictorDesign) -> RationalTF:
     """T = C P_hat/(1 + C P_hat), once the delay-free loop is internally stable.
 
-    The characteristic polynomial is rooted before any pole-zero pair is
-    cancelled, so an unstable plant pole cancelled by a controller zero
-    (or the reverse) is caught instead of vanishing from T.
+    Transfer-function arithmetic cancels no pole-zero pair, so T.den is the
+    characteristic polynomial C.den P_hat.den + C.num P_hat.num itself: an
+    unstable plant pole cancelled by a controller zero (or the reverse)
+    stays among its roots and is caught.
     """
-    C, P = design.controller, design.plant_nominal
-    char = C.den * P.den + C.num * P.num
-    if np.any(np.abs(roots(char)) > 1.0 - STABLE_POLE_MARGIN):
+    T = (design.controller * design.plant_nominal).feedback()
+    if np.any(np.abs(roots(T.den)) > 1.0 - STABLE_POLE_MARGIN):
         raise NumericError(
             "nominal loop is unstable: C.den*P_hat.den + C.num*P_hat.num has "
             "roots on or outside the unit circle")
-    return (C * P).feedback()
+    return T
 
 
 def _T(design: PredictorDesign) -> RationalTF:
@@ -196,8 +198,8 @@ def check_uncertain(design: PredictorDesign, protocol,
 
 
 def max_certified_tau(design: PredictorDesign, protocol,
-                      alpha_A: float = 0.0, tau_limit: int = 1000) -> int:
-    """Largest tau_bar certified by a linear scan from 0 upward.
+                      alpha_A: float = 0.0) -> int:
+    """Largest tau_bar certified by a linear scan from 0 up to TAU_LIMIT.
 
     The channel gain is non-decreasing in tau_bar for every protocol, so
     the first failure ends the scan.  Returns -1 when even tau_bar = 0
@@ -207,7 +209,7 @@ def max_certified_tau(design: PredictorDesign, protocol,
     gains = nominal_loop_gains(design) if alpha_A > 0 else None
     norm_M = _norm_M(design)
     best = -1
-    for tb in range(tau_limit + 1):
+    for tb in range(TAU_LIMIT + 1):
         alpha_B = alpha_formula(protocol, tb)
         if alpha_A > 0:
             conds = _uncertain_conditions(alpha_A, alpha_B, gains)

@@ -76,6 +76,20 @@ def test_polynomial_arithmetic():
     assert list(p.derivative().coeffs) == [1.0]
 
 
+@pytest.mark.parametrize("u,v", [([2.0, -3.0, 0.5, 0.0, 1.0], [1.0, -1.051]),
+                                 ([1.0, 0.0, 0.0, -0.9], [2.0, 0.5, -1.0]),
+                                 ([0.5, 1.0], [1.0, 0.0, 3.0]),
+                                 ([4.0, 2.0, 1.0], [2.0])])
+def test_polynomial_divmod_is_long_division(u, v):
+    q, r = divmod(Polynomial(u), Polynomial(v))
+    assert r.degree < max(Polynomial(v).degree, 1)
+    want_q, want_r = np.polydiv(u, v)
+    assert np.allclose(q.coeffs, want_q, rtol=1e-15, atol=1e-15)
+    assert np.allclose(r.coeffs, want_r, rtol=1e-15, atol=1e-15)
+    back = q * Polynomial(v) + r
+    assert np.allclose(back.coeffs, Polynomial(u).coeffs, rtol=1e-15, atol=1e-15)
+
+
 def test_tf_evaluation_and_delay():
     g = RationalTF([1.0], [1.0, -0.5], 1.0)
     assert g(1.0) == pytest.approx(2.0)
@@ -101,15 +115,13 @@ def test_cancel_removes_shared_roots():
     assert np.allclose(sorted(roots(g.num).real), [0.5], atol=1e-9)
 
 
-def test_cancel_without_tolerance_is_identity():
-    # an exact shared root: any positive tolerance would cancel it
+def test_realize_keeps_the_shared_root_that_cancel_removes():
+    # an exact shared root: only an explicit cancel removes it
     num = Polynomial.from_roots([0.5, 0.2], leading=2.0)
     den = Polynomial.from_roots([0.5, -0.3, 0.1], leading=1.0)
     g = RationalTF(num.coeffs, den.coeffs, 1.0)
-    assert cancel(g, 0.0) is g
-    assert cancel(g, -1.0) is g
+    assert realize(g).order == 3
     assert cancel(g).den.degree == 2
-    assert realize(g, 0.0).order == 3
 
 
 def test_inf_norm_first_order_analytic():

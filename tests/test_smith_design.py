@@ -56,11 +56,13 @@ def test_demo_prediction_block_is_stable():
 
 
 def test_demo_delay_free_reference_frozen():
+    # 40-digit reference: the controller zero cancels the prefilter pole,
+    # leaving C.num[0] P.num V.num over C.den P.den + C.num P.num
     T = delay_free_reference(demo_design()).normalized()
     assert T.num.coeffs == pytest.approx(
-        [0.025000386024768003, -0.022500347422291195], abs=1e-12)
+        [0.025000386024768000616, -0.022500347422291202653], abs=1e-12)
     assert T.den.coeffs == pytest.approx(
-        [1.0, -1.8997300415970009, 0.90222599591084118], abs=1e-12)
+        [1.0, -1.8997300415999999308, 0.90222599591359991776], abs=1e-12)
 
 
 def test_demo_disturbance_rejection_at_dc():
@@ -173,3 +175,44 @@ def test_design_json_round_trip():
     assert np.allclose(back.filter.num.coeffs, d.filter.num.coeffs)
     assert np.allclose(back.predictor_block.den.coeffs, d.predictor_block.den.coeffs)
     assert back.h == d.h
+
+
+# (numerator, poles) with unstable, repeated, complex and unit-circle poles
+H_PLANTS = {"1.051": ([0.0051271], [1.051]),
+            "1.2,1.05": ([0.01], [1.2, 1.05]),
+            "1.05+-0.1j": ([0.02], [1.05 + 0.1j, 1.05 - 0.1j]),
+            "1": ([1.0], [1.0]),
+            "1,1": ([1.0, -0.5], [1.0, 1.0]),
+            "2,0.5": ([0.1, 0.05], [2.0, 0.5]),
+            "1.5,1.3,0.2": ([0.02], [1.5, 1.3, 0.2])}
+
+
+def _h_plant(num, poles):
+    return RationalTF(num, Polynomial.from_roots(poles).coeffs, 1.0)
+
+
+@pytest.mark.parametrize("num,poles", H_PLANTS.values(), ids=H_PLANTS.keys())
+def test_prediction_block_matches_its_defining_product(num, poles):
+    plant = _h_plant(num, poles)
+    n_u = sum(abs(p) >= 1.0 for p in poles)
+    # 40 points off z = 1, where 1 - F(1) = 0 leaves the reference product
+    # with nothing but rounding error
+    z = np.exp(1j * (np.arange(40) + 0.5) * np.pi / 40)
+    for tau_hat in range(1, 26):
+        for lam in (0.8, 0.9, 0.95):
+            F = design_filter(plant, tau_hat, lam)
+            H = build_H(plant, F, tau_hat)
+            assert H.num.degree == plant.num.degree + tau_hat + F.den.degree - n_u
+            assert H.den.degree == tau_hat + plant.den.degree - n_u + F.den.degree
+            want = plant(z) * (1.0 - z ** -tau_hat * F(z))
+            err = np.abs(H(z) - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() < 1e-11, (tau_hat, lam, err.max())
+
+
+# the single integrator is left out: its filter is F = 1 for every tau_hat
+@pytest.mark.parametrize("num,poles", [H_PLANTS[k] for k in H_PLANTS if k != "1"],
+                         ids=[k for k in H_PLANTS if k != "1"])
+def test_prediction_block_refuses_a_filter_for_another_delay(num, poles):
+    plant = _h_plant(num, poles)
+    with pytest.raises(NumericError, match="interpolation constraint"):
+        build_H(plant, design_filter(plant, 4, LAM), 3)

@@ -1,6 +1,7 @@
 """Small-gain certification for the packetized loop."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ import netsmith.stability_criteria as sc
 from netsmith.stability_criteria import (StabilityVerdict, build_M, check_nominal,
                                          check_uncertain, margin_sweep,
                                          max_certified_tau, nominal_loop_gains)
+from test_acceptance import _random_design_suite
 
-NORM_M_FROZEN = 0.29673928967070895
+# 40-digit references, from the demo design's float coefficients taken as
+# exact rationals
+NORM_M_FROZEN = 0.29673928967024968726
 
 
 def _at_tau(design, tau_bar):
@@ -30,8 +34,8 @@ def test_mismatch_norm_frozen():
 
 def test_loop_gains_frozen():
     a11, a12, a21, a22 = nominal_loop_gains(demo_design())
-    assert a11 == pytest.approx(2.1578366291068911, abs=1e-12)
-    assert a12 == pytest.approx(2.0093431897545257, abs=1e-12)
+    assert a11 == pytest.approx(2.1578366291066440259, abs=1e-12)
+    assert a12 == pytest.approx(2.0093431897940687391, abs=1e-12)
     assert a21 == pytest.approx(NORM_M_FROZEN, abs=1e-14)
     assert a22 == a12
 
@@ -42,6 +46,46 @@ def test_nominal_margin_arithmetic():
     assert v.margin == pytest.approx(1.0 - 3.0 * NORM_M_FROZEN, abs=1e-12)
     assert v.certified
     assert v.binding == "norm_M*alpha < 1"
+
+
+def _exact(coeffs):
+    return [Fraction(float(c)) for c in coeffs]
+
+
+def _exact_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _exact_add(a, b):
+    n = max(len(a), len(b))
+    a = [Fraction(0)] * (n - len(a)) + a
+    b = [Fraction(0)] * (n - len(b)) + b
+    return [x + y for x, y in zip(a, b)]
+
+
+def _assert_coeffs_near(got, want, rel):
+    assert len(got) == len(want)
+    err = max(abs(Fraction(float(g)) - w) for g, w in zip(got, want))
+    assert float(err / max(abs(w) for w in want)) <= rel
+
+
+def test_closed_loop_is_the_exact_coefficient_product():
+    # the demo design, and a random-suite controller k (z - a)/(z - 1) whose
+    # zero sits on the plant pole a: T keeps that pair, so its degrees are
+    # those of C.num P.num / (C.den P.den + C.num P.num)
+    cancelling = _random_design_suite(21)[0][0]
+    for d in (demo_design(), cancelling):
+        C, P = d.controller, d.plant_nominal
+        num = _exact_mul(_exact(C.num.coeffs), _exact(P.num.coeffs))
+        den = _exact_add(_exact_mul(_exact(C.den.coeffs), _exact(P.den.coeffs)), num)
+        T = sc._T(d)
+        _assert_coeffs_near(T.num.coeffs, num, 1e-15)
+        _assert_coeffs_near(T.den.coeffs, den, 1e-15)
+    assert sc._T(cancelling).den.degree == 2
 
 
 def test_thresholds_at_default_filter_pole():
