@@ -25,7 +25,6 @@ from .lti_core import (
     Polynomial,
     RationalTF,
     StateSpace,
-    cancel,
     inf_norm,
     realize,
     roots,
@@ -81,7 +80,6 @@ __all__ = [
     "build_H",
     "build_M",
     "build_lmi",
-    "cancel",
     "check_nominal",
     "check_uncertain",
     "compact_variable_count",

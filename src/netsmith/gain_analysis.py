@@ -51,9 +51,15 @@ def alpha_formula(protocol, tau_bar: int) -> float:
     return math.sqrt(tb * (14 * tb + 1) / 6)
 
 
+def _check_amplitude(v_bar: float) -> None:
+    if not (math.isfinite(v_bar) and v_bar > 0):
+        raise ValueError(f"amplitude v_bar must be finite and > 0; got {v_bar!r}")
+
+
 def full_block_energy(tau_bar: int, v_bar: float = 1.0) -> float:
     """Squared-norm contribution of one full hold block of the ramp:
     (tau_bar+1)(14 tau_bar^2 + tau_bar)/6 * v_bar^2."""
+    _check_amplitude(v_bar)
     tb = tau_bar
     return (tb + 1) * (14 * tb**2 + tb) / 6 * v_bar**2
 
@@ -72,6 +78,7 @@ def worst_case_norm(tau_bar: int, T: int, v_bar: float = 1.0) -> float:
     """
     if tau_bar < 1:
         raise ValueError("worst-case norm needs tau_bar >= 1")
+    _check_amplitude(v_bar)
     tb = tau_bar
     a = _ramp(T, v_bar, T + 2 * tb + 1)
     A = float(np.sum(a[:tb] ** 2))
@@ -123,12 +130,13 @@ def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleRes
     is a dynamic program over packets in send order j = 0..T+2 tau_bar,
     on the receiver automaton ``packet_channel.receive``: choosing tau_j
     fixes the staleness s held at j, which adds (a_j - a_{j-s})^2, or
-    a_j^2 while nothing is held.  A forward sweep lists the reachable
-    states, a backward sweep gives each state's value-to-go, and a
-    second forward sweep takes at every j the smallest tau_j that
-    attains it.  The ramp is kept in integers (v_bar = 1) and scaled by
-    v_bar^2 at the end, so ties are exact.  The states do not depend on
-    j, so each transition is computed once per call.  Cost: at most
+    a_j^2 while nothing is held.  The states do not depend on j, so a
+    forward sweep gives each state an integer id when it first meets it
+    and computes each transition once per call, into one row per id; a
+    backward sweep fills one flat list of values-to-go per packet from
+    those rows, and a second forward sweep takes at every j the smallest
+    tau_j that attains it.  The ramp is kept in integers (v_bar = 1) and
+    scaled by v_bar^2 at the end, so ties are exact.  Cost: at most
     (2 tau_bar + 2)(tau_bar + 1)! states, each with tau_bar+1 moves, so
     the work is linear in T.
 
@@ -145,46 +153,60 @@ def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleRes
         raise ValueError("tau_bar must be non-negative")
     if T < 0:
         raise ValueError("horizon must be non-negative")
+    _check_amplitude(v_bar)
     tb = tau_bar
-    # ramp[-1] = 0 is the value held before the first packet is used
-    ramp = [min(k + 1, T + 1) for k in range(T + 2 * tb + 1)] + [0]
-    tail = worst_case_trace(T + 2 * tb + 1, tb).delays[T + 1:]
-    moves = [range(tb + 1)] * (T + 1) + [(t,) for t in tail]
+    n = T + 2 * tb + 1
+    # nothing held yet is staleness n: ramp[j - n] is one of the zeros past the ramp
+    ramp = [min(k + 1, T + 1) for k in range(n)] + [0] * n
+    moves = [range(tb + 1)] * (T + 1) + [(t,) for t in worst_case_trace(n, tb).delays[T + 1:]]
 
-    step = {}
+    # forward: number each state on first sight; rows[i][t] is the
+    # (staleness, next id) of delay t, and layers[j] the ids live at j
     start = (None, (None,) * tb)
-    layers = []
-    states = {start}
-    for j, delays in enumerate(moves):
-        edges = {}
-        for state in states:
-            out = []
+    ids, states, rows = {start: 0}, [start], [[None] * (tb + 1)]
+    layers = [{0}]
+    for delays in moves:
+        live = set()
+        for i in layers[-1]:
+            row = rows[i]
             for t in delays:
-                hit = step.get((state, t))
-                if hit is None:
-                    hit = step[(state, t)] = receive(protocol, state, t)
-                stale, nxt = hit
-                held = -1 if stale is None else j - stale
-                out.append((t, (ramp[j] - ramp[held]) ** 2, nxt))
-            edges[state] = out
-        layers.append(edges)
-        states = {nxt for out in edges.values() for _, _, nxt in out}
+                if row[t] is None:
+                    stale, nxt = receive(protocol, states[i], t)
+                    k = ids.setdefault(nxt, len(states))
+                    if k == len(states):
+                        states.append(nxt)
+                        rows.append([None] * (tb + 1))
+                    row[t] = (n if stale is None else stale, k)
+                live.add(row[t][1])
+        layers.append(live)
 
-    values = [dict.fromkeys(states, 0)]
-    for edges in reversed(layers):
-        later = values[-1]
-        values.append({s: max(c + later[nxt] for _, c, nxt in out)
-                       for s, out in edges.items()})
+    # backward: values[j][i] is the best energy from packet j on in state i
+    values = [[0] * len(states)]
+    for j in range(n - 1, -1, -1):
+        a, later, now = ramp[j], values[-1], [0] * len(states)
+        for i in layers[j]:
+            row, best = rows[i], -1
+            for t in moves[j]:
+                s, k = row[t]
+                d = a - ramp[j - s]
+                v = d * d + later[k]
+                if v > best:
+                    best = v
+            now[i] = best
+        values.append(now)
     values.reverse()
 
-    head, state = [], start
+    # argmax: the smallest t that attains each state's value
+    head, i = [], 0
     for j in range(T + 1):
-        goal = values[j][state]
-        t, _, state = next((t, c, nxt) for t, c, nxt in layers[j][state]
-                           if c + values[j + 1][nxt] == goal)
+        goal, later, a = values[j][i], values[j + 1], ramp[j]
+        for t, (s, k) in enumerate(rows[i]):
+            if (a - ramp[j - s]) ** 2 + later[k] == goal:
+                break
         head.append(t)
+        i = k
 
-    best = values[0][start]
+    best = values[0][0]
     trace = PacketTrace(tuple(head), 0, tb)
     return OracleResult(protocol, tb, T, v_bar, math.sqrt(best / (T + 1)),
                         best * v_bar**2, trace, (tb + 1) ** (T + 1))

@@ -11,8 +11,8 @@ omega in [0, pi/h].  Serialized form is ``{"num": [...], "den": [...],
 
 Arithmetic is exact on coefficients: sums, products and feedback
 combine the numerator and denominator polynomials and never remove a
-pole-zero pair.  Cancellation happens only where a caller asks for it,
-through ``cancel``.  The infinity norm comes from a Hamiltonian level-set
+pole-zero pair; a caller that knows a common factor divides it out
+with ``divmod``.  The infinity norm comes from a Hamiltonian level-set
 iteration, not a frequency grid; ``inf_norm`` states the bracket it
 guarantees.
 """
@@ -24,7 +24,6 @@ import math
 
 import numpy as np
 
-ARITH_CANCEL_TOL = 1e-8
 UNIT_CIRCLE_TOL = 1e-8
 NORM_REL_TOL = 1e-12
 
@@ -222,26 +221,6 @@ def _coerce(value, h: float) -> RationalTF:
     return RationalTF.constant(float(value), h)
 
 
-def cancel(g: RationalTF) -> RationalTF:
-    """Remove num/den root pairs closer than ``ARITH_CANCEL_TOL``, pairing
-    each numerator root greedily with the nearest denominator root."""
-    if g.num.is_zero:
-        return RationalTF([0.0], [1.0], g.h)
-    kept_num, kept_den = [], list(roots(g.den))
-    for z in roots(g.num):
-        dist = [abs(z - p) for p in kept_den]
-        if dist and min(dist) < ARITH_CANCEL_TOL:
-            kept_den.pop(int(np.argmin(dist)))
-        else:
-            kept_num.append(z)
-    if len(kept_den) == g.den.degree:
-        # nothing cancelled; keep the exact coefficients instead of
-        # round-tripping them through the root finder
-        return g
-    return RationalTF(Polynomial.from_roots(kept_num, g.num.coeffs[0]),
-                      Polynomial.from_roots(kept_den, g.den.coeffs[0]), g.h)
-
-
 def tf_arith(lhs: RationalTF, rhs: RationalTF, kind: str) -> RationalTF:
     """Combine two transfer functions.
 
@@ -257,7 +236,7 @@ def tf_arith(lhs: RationalTF, rhs: RationalTF, kind: str) -> RationalTF:
     -------
     RationalTF
         Result of exact coefficient arithmetic.  No pole-zero pair is
-        cancelled; call ``cancel`` for that.
+        cancelled.
     """
     if lhs.h != rhs.h:
         raise ValueError(f"sampling-time mismatch: {lhs.h} != {rhs.h}")

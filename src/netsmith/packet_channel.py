@@ -195,14 +195,13 @@ def receive(protocol: Protocol, state: tuple, delay: int) -> tuple:
     if not 0 <= delay <= len(flight):
         raise ValueError(f"delay {delay} outside [0, {len(flight)}]")
     arrive = flight + (delay,)
-    # packet j - tau_max + i lands now with staleness tau_max - i
-    hits = [len(flight) - i for i, d in enumerate(arrive) if d == 0]
     held = None if stale is None else stale + 1
-    if hits:
-        pick = hits[0] if rule == "oldest" else hits[-1]
+    if 0 in arrive:
+        # a 0 at arrive[i] lands now, staleness tau_max - i: first 0 oldest, last newest
+        pick = len(flight) - arrive.index(0) if rule == "oldest" else arrive[::-1].index(0)
         if rule != "p1" or held is None or pick < held:
             held = pick
-    return held, (held, tuple(d - 1 if d else None for d in arrive[1:]))
+    return held, (held, tuple([d - 1 if d else None for d in arrive[1:]]))
 
 
 def run_channel(values, trace: PacketTrace, protocol: Protocol):

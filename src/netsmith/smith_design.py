@@ -25,7 +25,6 @@ from .lti_core import (
     NumericError,
     Polynomial,
     RationalTF,
-    cancel,
     roots,
 )
 
@@ -368,10 +367,23 @@ def make_design(plant: RationalTF, controller: RationalTF, prefilter: RationalTF
 
 def delay_free_reference(design: PredictorDesign) -> RationalTF:
     """Reference-to-output transfer function with the dead time removed:
-    V C P_hat / (1 + C P_hat), with its near-common pole-zero pairs
-    cancelled (such as a prefilter pole placed on a controller zero)."""
-    loop = design.controller * design.plant_nominal
-    return cancel(design.prefilter * loop.feedback())
+    V C P_hat / (1 + C P_hat) = V.num T.num / (V.den T.den).  A root
+    cluster of V.den that T.num shares (a prefilter pole placed on a
+    controller zero) is divided out of both, once per multiplicity, while
+    dividing T.num leaves a remainder within ROOT_CLUSTER_TOL of it."""
+    V, T = design.prefilter, (design.controller * design.plant_nominal).feedback()
+    num, den = T.num, V.den
+    for z0, mult in _cluster_roots(list(roots(V.den))):
+        if z0.imag < -ROOT_CLUSTER_TOL:
+            continue  # taken with its conjugate
+        pair = [z0.real] if abs(z0.imag) < ROOT_CLUSTER_TOL else [z0, z0.conjugate()]
+        factor = Polynomial.from_roots(pair)
+        for _ in range(mult):
+            q, rem = divmod(num, factor)
+            if np.max(np.abs(rem.coeffs)) > ROOT_CLUSTER_TOL * np.max(np.abs(num.coeffs)):
+                break
+            num, den = q, divmod(den, factor)[0]
+    return RationalTF(V.num * num, den * T.den, V.h)
 
 
 def nominal_closed_loop(design: PredictorDesign):

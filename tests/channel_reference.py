@@ -1,9 +1,11 @@
-"""Per-step slow reference of the packet channel, for tests only.
+"""Per-step slow references of the packet channel, for tests only.
 
 The receiver keeps its in-flight packets in a list and applies the
 selection rule at every instant, one step at a time.  ``held_index`` in
 netsmith.packet_channel computes the same thing as one index map; the
-differential tests compare the two.
+differential tests compare the two.  ``receive_reference`` is the
+per-packet automaton step written with an explicit list of the packets
+that land, against which ``packet_channel.receive`` is checked.
 """
 from __future__ import annotations
 
@@ -60,3 +62,22 @@ def channel_step(state: ChannelState, protocol: Protocol, p: int, samples) -> fl
     state.last_index = choice
     state.last_output = float(samples[choice])
     return state.last_output
+
+
+def receive_reference(protocol: Protocol, state: tuple, delay: int) -> tuple:
+    """``packet_channel.receive`` with the landing packets listed in full."""
+    rule = protocol.selector if protocol.kind == "p3" else protocol.kind
+    if rule == "random":
+        raise ValueError("random p3 selection has no deterministic transition")
+    stale, flight = state
+    if not 0 <= delay <= len(flight):
+        raise ValueError(f"delay {delay} outside [0, {len(flight)}]")
+    arrive = flight + (delay,)
+    # packet j - tau_max + i lands now with staleness tau_max - i
+    hits = [len(flight) - i for i, d in enumerate(arrive) if d == 0]
+    held = None if stale is None else stale + 1
+    if hits:
+        pick = hits[0] if rule == "oldest" else hits[-1]
+        if rule != "p1" or held is None or pick < held:
+            held = pick
+    return held, (held, tuple(d - 1 if d else None for d in arrive[1:]))

@@ -5,12 +5,14 @@ plain Python and folds the channel through the packet_channel module, so
 it shares no code with the dynamic program under test.
 """
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+import netsmith.gain_analysis as ga
 from netsmith.gain_analysis import (alpha_T_closed_form, alpha_asymptote_check,
                                     alpha_formula, full_block_energy, oracle_gain,
                                     worst_case_norm)
@@ -166,3 +168,54 @@ def test_asymptote_table_converges_and_is_monotone():
     for r in rows:
         assert r["ramp_term"] + r["rest_term"] == pytest.approx(
             r["alpha_T"] ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("v_bar", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: oracle_gain(Protocol("p1"), 2, 4, v_bar=v),
+    lambda v: worst_case_norm(2, 4, v),
+    lambda v: alpha_T_closed_form(2, 4, v),
+    lambda v: full_block_energy(2, v),
+    lambda v: alpha_asymptote_check(2, 20, v),
+], ids=["oracle_gain", "worst_case_norm", "alpha_T_closed_form",
+        "full_block_energy", "alpha_asymptote_check"])
+def test_ill_posed_amplitude_raises(call, v_bar):
+    with pytest.raises(ValueError, match="v_bar"):
+        call(v_bar)
+
+
+@pytest.mark.parametrize("kind", ["p1", "p2", "p3"])
+@pytest.mark.parametrize("tau_bar,T", [(3, 8), (2, 10)])
+def test_oracle_computes_each_transition_once(monkeypatch, kind, tau_bar, T):
+    asked = []
+    real = ga.receive
+
+    def counting(protocol, state, delay):
+        asked.append((state, delay))
+        return real(protocol, state, delay)
+
+    monkeypatch.setattr(ga, "receive", counting)
+    oracle_gain(Protocol(kind), tau_bar, T)
+    assert asked and len(asked) == len(set(asked))
+
+
+# Frozen values; the trace hashes pin the lexicographic tie-break at
+# horizons the reference enumeration cannot reach.
+ORACLE_PINS = [
+    ("p1", 3, 60, 2.9780618628591973, 541.0,
+     "aeb8d964d8ea0cbb00109ddbdc312d6cabab937881053da9a2fdf8ed3254de18"),
+    ("p2", 3, 60, 3.499414470928567, 747.0,
+     "2de34f16ff7b12b18ffe7f5afb167179a2e4fa615a9bca1d349a39c6166adc9e"),
+    ("p3", 3, 60, 4.571831071273555, 1275.0,
+     "9610c2570aa5be03225ef942502a7ed75679187ca9451afbcbb58fcdf30163c3"),
+    ("p3", 2, 200, 3.0995104733053176, 1931.0,
+     "08d5d0e58cfa4a58dc0587d8077c2086f7d5236f3e2b8b4c09ddf17f34f164ac"),
+]
+
+
+@pytest.mark.parametrize("kind,tau_bar,T,alpha_T,norm_sq,trace_sha", ORACLE_PINS)
+def test_oracle_long_horizon_pins(kind, tau_bar, T, alpha_T, norm_sq, trace_sha):
+    res = oracle_gain(Protocol(kind), tau_bar, T)
+    assert res.alpha_T == alpha_T
+    assert res.norm_sq == norm_sq
+    assert hashlib.sha256(res.trace.to_csv().encode()).hexdigest() == trace_sha

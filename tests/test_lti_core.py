@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsmith.lti_core import (NORM_REL_TOL, NumericError, Polynomial,
-                               RationalTF, StateSpace, cancel, inf_norm,
+                               RationalTF, StateSpace, inf_norm,
                                realize, roots)
 
 BRACKET = 1.0 + 2.0 * NORM_REL_TOL
@@ -106,22 +106,16 @@ def test_feedback_matches_manual_algebra():
     assert np.allclose(T.den.coeffs, [1.0, -0.5])
 
 
-def test_cancel_removes_shared_roots():
-    num = Polynomial.from_roots([1.0, 0.5], leading=1.0)
-    den = Polynomial.from_roots([1.0, 0.3], leading=1.0)
-    g = cancel(RationalTF(num.coeffs, den.coeffs, 1.0))
-    assert g.den.degree == 1
-    assert np.allclose(sorted(roots(g.den).real), [0.3], atol=1e-9)
-    assert np.allclose(sorted(roots(g.num).real), [0.5], atol=1e-9)
-
-
-def test_realize_keeps_the_shared_root_that_cancel_removes():
-    # an exact shared root: only an explicit cancel removes it
+def test_realize_keeps_an_exact_shared_root():
+    # an exact shared root stays; dividing the known factor out removes it
     num = Polynomial.from_roots([0.5, 0.2], leading=2.0)
     den = Polynomial.from_roots([0.5, -0.3, 0.1], leading=1.0)
     g = RationalTF(num.coeffs, den.coeffs, 1.0)
     assert realize(g).order == 3
-    assert cancel(g).den.degree == 2
+    factor = Polynomial([1.0, -0.5])
+    (q_num, r_num), (q_den, r_den) = divmod(g.num, factor), divmod(g.den, factor)
+    assert np.max(np.abs(np.r_[r_num.coeffs, r_den.coeffs])) < 1e-15
+    assert realize(RationalTF(q_num.coeffs, q_den.coeffs, 1.0)).order == 2
 
 
 def test_inf_norm_first_order_analytic():

@@ -3,7 +3,8 @@
 The property tests re-derive each protocol's selection rule with an
 independent fold over the arrival sets, run the per-step reference
 receiver of ``channel_reference`` against the ``held_index`` map, and
-replay the ``receive`` automaton against it.
+replay the ``receive`` automaton against it and against the reference
+transition of ``channel_reference`` on every reachable state.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channel_reference import ChannelState, channel_step
+from channel_reference import ChannelState, channel_step, receive_reference
 from netsmith.packet_channel import (PacketTrace, Protocol, held_index, receive,
                                      run_channel, uniform_trace, worst_case_trace)
 
@@ -283,6 +284,21 @@ def test_receive_replays_held_index(case):
     assert np.array_equal(held_index(trace, protocol, len(trace)), held)
 
 
+def _transitions(proto, tau_min, tau_max):
+    """(state, delay, receive result) for every state that delays in
+    [tau_min, tau_max] reach from the start, and every such delay."""
+    start = (None, (None,) * tau_max)
+    seen, frontier = {start}, [start]
+    while frontier:
+        state = frontier.pop()
+        for t in range(tau_min, tau_max + 1):
+            out = receive(proto, state, t)
+            yield state, t, out
+            if out[1] not in seen:
+                seen.add(out[1])
+                frontier.append(out[1])
+
+
 @pytest.mark.parametrize("tau_min,tau_max", [(0, 1), (0, 3), (1, 3), (3, 3), (1, 4)])
 def test_staleness_bounds_hold_on_every_trace(tau_min, tau_max):
     """A search of every receiver state that delays in [tau_min, tau_max]
@@ -291,14 +307,21 @@ def test_staleness_bounds_hold_on_every_trace(tau_min, tau_max):
     tau_max stale, which that proof covers separately."""
     for label, proto in [("p1", Protocol("p1")), ("p2", Protocol("p2")),
                          ("p3-oldest", Protocol("p3"))]:
-        start = (None, (None,) * tau_max)
-        seen, frontier, worst = {start}, [start], -1
-        while frontier:
-            state = frontier.pop()
-            for t in range(tau_min, tau_max + 1):
-                stale, nxt = receive(proto, state, t)
-                worst = max(worst, -1 if stale is None else stale)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+        worst = max(-1 if stale is None else stale
+                    for _, _, (stale, _) in _transitions(proto, tau_min, tau_max))
         assert worst == _staleness_bound(label, tau_min, tau_max), label
+
+
+@pytest.mark.parametrize("tau_max", range(5))
+def test_receive_matches_reference_on_every_reachable_state(tau_max):
+    """Every reachable state, every delay: the transition agrees with the
+    reference step, and out-of-range delays and random selection raise."""
+    for proto in (Protocol("p1"), Protocol("p2"), Protocol("p3")):
+        for state, t, out in _transitions(proto, 0, tau_max):
+            assert out == receive_reference(proto, state, t)
+            if t == 0:
+                for bad in (-1, tau_max + 1):
+                    with pytest.raises(ValueError, match="outside"):
+                        receive(proto, state, bad)
+    with pytest.raises(ValueError, match="random"):
+        receive(Protocol("p3", selector="random"), (None, (None,) * tau_max), 0)

@@ -4,6 +4,8 @@ The reference numbers for the worked example were recomputed from the
 design equations with an independent linear solve below, then frozen.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,9 +62,23 @@ def test_demo_delay_free_reference_frozen():
     # leaving C.num[0] P.num V.num over C.den P.den + C.num P.num
     T = delay_free_reference(demo_design()).normalized()
     assert T.num.coeffs == pytest.approx(
-        [0.025000386024768000616, -0.022500347422291202653], abs=1e-12)
+        [0.025000386024768000616, -0.022500347422291202653], abs=1e-15)
     assert T.den.coeffs == pytest.approx(
-        [1.0, -1.8997300415999999308, 0.90222599591359991776], abs=1e-12)
+        [1.0, -1.8997300415999999308, 0.90222599591359991776], abs=1e-15)
+
+
+def test_delay_free_reference_cancels_one_of_a_double_prefilter_pole():
+    # both prefilter poles sit on the controller zero at 0.9835, which
+    # T.num has once: exactly one factor cancels
+    d = demo_design()
+    V = RationalTF(Polynomial.from_roots([0.9, 0.9], 0.16527 ** 2).coeffs,
+                   Polynomial.from_roots([0.9835, 0.9835]).coeffs, 1.0)
+    ref = delay_free_reference(dataclasses.replace(d, prefilter=V))
+    assert (ref.num.degree, ref.den.degree) == (2, 3)
+    assert sorted(roots(ref.den).real)[-1] == pytest.approx(0.9835, abs=1e-12)
+    full = V * (d.controller * d.plant_nominal).feedback()
+    for z in np.exp(1j * np.linspace(0.01, np.pi, 7)):
+        assert ref(z) == pytest.approx(full(z), rel=1e-9)
 
 
 def test_demo_disturbance_rejection_at_dc():
