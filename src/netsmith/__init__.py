@@ -16,7 +16,6 @@ from .lmi_assembly import (
     assemble_augmented,
     build_lmi,
     compact_variable_count,
-    export_lmi,
     lifted_variable_count,
     verify_candidate,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "compact_variable_count",
     "delay_free_reference",
     "design_filter",
-    "export_lmi",
     "held_index",
     "inf_norm",
     "interpolation_residuals",

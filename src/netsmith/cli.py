@@ -163,7 +163,8 @@ def cmd_check(args) -> int:
 
     tau_bar = design.tau_bar if args.tau_max is None else args.tau_max
     at = _design_at_tau(design, tau_bar)
-    if args.alpha_a > 0:
+    # check_uncertain rejects every alpha_A but a finite one >= 0
+    if args.alpha_a != 0:
         verdict = check_uncertain(at, protocol, alpha_A=args.alpha_a)
     else:
         verdict = check_nominal(at, protocol)

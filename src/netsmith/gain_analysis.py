@@ -24,12 +24,6 @@ import numpy as np
 from .packet_channel import PacketTrace, Protocol, receive, worst_case_trace
 
 
-def _as_protocol(protocol) -> Protocol:
-    if isinstance(protocol, Protocol):
-        return protocol
-    return Protocol(str(protocol))
-
-
 def alpha_formula(protocol, tau_bar: int) -> float:
     """Analytic l2 gain of the delay uncertainty for one protocol.
 
@@ -42,7 +36,7 @@ def alpha_formula(protocol, tau_bar: int) -> float:
         raise ValueError("tau_bar must be non-negative")
     if tau_bar == 0:
         return 0.0
-    kind = _as_protocol(protocol).kind
+    kind = Protocol.coerce(protocol).kind
     tb = float(tau_bar)
     if kind == "p1":
         return tb
@@ -82,7 +76,7 @@ def worst_case_norm(tau_bar: int, T: int, v_bar: float = 1.0) -> float:
     tb = tau_bar
     a = _ramp(T, v_bar, T + 2 * tb + 1)
     A = float(np.sum(a[:tb] ** 2))
-    k1 = max(0, math.ceil((T + 1 - 2 * tb) / (tb + 1)))
+    k1 = ramp_block_count(tb, T)
     k2 = T + 1 + tb - k1 * (tb + 1)
     k3 = k2 // (tb + 1)
     BC = 0.0
@@ -148,7 +142,7 @@ def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleRes
     ``evaluations`` is the number of head assignments the maximum ranges
     over, not the work done.
     """
-    protocol = _as_protocol(protocol)
+    protocol = Protocol.coerce(protocol)
     if tau_bar < 0:
         raise ValueError("tau_bar must be non-negative")
     if T < 0:

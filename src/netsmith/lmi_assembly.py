@@ -16,7 +16,7 @@ here as constant matrices with named symmetric unknowns:
            all n_xi x n_xi.
 
 Solving the LMIs is delegated to external SDP tooling; this module
-builds, exports, and verifies, but does not solve.
+builds, serializes (``problem_document``) and verifies, but does not solve.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import json
 
 import numpy as np
 
-from .lti_core import NumericError, StateSpace, realize
+from .lti_core import StateSpace, realize
 from .smith_design import PredictorDesign
 
 VARIANTS = ("lifted", "compact")
@@ -35,25 +35,36 @@ DIRECT_TERM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AugmentedModel:
-    """Constant matrices of the sample-delay closed-loop model.
+    """The predictor loop on the stacked state xi = (x, x_H, x_F, x_C) of
+    the plant, prediction block, robustness filter and controller
+    realizations, with the controller's measurement y_hat as an input:
 
-    input_reference, input_disturbance, and output_row extend the bare
-    stability model for simulation cross-checks: the reference column
-    injects the prefiltered reference into the tracking error, the
-    disturbance column adds a plant-input disturbance, and output_row
-    reads the delay-free plant output (the measured output lags it by
-    d_hat samples).
+        xi_{k+1} = A_tilde xi_k + g y_hat_k + input_reference r_V,k
+                   + input_disturbance w_k
+
+    Row i of ``rows`` is the output row c of block i (P_hat, H, F, C) on
+    its own columns; ``output_row`` = rows[0] reads the delay-free plant
+    output (the measured output lags it by d_hat samples).  The other
+    readouts are y_H = rows[1] xi, y_F = rows[2] xi + d_F y_hat and
+    u = rows[3] xi + d_C (r_V - y_F - y_H).  Closing the loop by the
+    sample delay y_hat_k = output_row xi_{k - d_hat - tau_k} gives the
+    delayed-state matrix A_d_tilde = g (x) output_row, which acts on the
+    plant block only.  input_reference injects the prefiltered reference
+    r_V into the tracking error, input_disturbance adds a plant-input
+    disturbance w.
     """
     A_tilde: np.ndarray
     A_d_tilde: np.ndarray
-    n_xi: int
+    g: np.ndarray
+    input_reference: np.ndarray
+    input_disturbance: np.ndarray
+    rows: np.ndarray
+    d_F: float
+    d_C: float
     d_hat: int
     tau_n_min: int
     tau_n_max: int
     block_orders: tuple
-    input_reference: np.ndarray
-    input_disturbance: np.ndarray
-    output_row: np.ndarray
 
     def __post_init__(self):
         if self.n_xi != sum(self.block_orders):
@@ -63,6 +74,14 @@ class AugmentedModel:
         if tail.size and np.any(tail != 0.0):
             raise ValueError("delayed-state matrix must only act on the plant block")
 
+    @property
+    def n_xi(self) -> int:
+        return self.A_tilde.shape[0]
+
+    @property
+    def output_row(self) -> np.ndarray:
+        return self.rows[0]
+
 
 def _strictly_proper(ss: StateSpace, what: str) -> StateSpace:
     if abs(ss.d) > DIRECT_TERM_TOL:
@@ -70,36 +89,18 @@ def _strictly_proper(ss: StateSpace, what: str) -> StateSpace:
     return ss
 
 
-@dataclass(frozen=True)
-class _StackedLoop:
-    """The predictor loop on xi = (x, x_H, x_F, x_C) with the controller's
-    measurement y_hat left open as an input:
+def assemble_augmented(design: PredictorDesign) -> AugmentedModel:
+    """The design's augmented model, built once per design and read-only.
 
-        xi_{k+1} = A xi_k + g y_hat_k + b_ref r_V,k + b_dist w_k
-
-    Row i of ``rows`` is the output row c of block i (P_hat, H, F, C) on
-    its own columns.  With the plant output rows[0] xi, closing the loop by
-    y_hat_k = rows[0] xi_{k - d_hat - tau_k} gives A_d_tilde = g (x) rows[0];
-    the other readouts are y_H = rows[1] xi, y_F = rows[2] xi + d_F y_hat
-    and u = rows[3] xi + d_C (r_V - y_F - y_H).
+    The plant and prediction block must be strictly proper; the filter
+    and controller may carry direct terms d_F, d_C.  A static plant
+    (order 0) is rejected since the loop state would be empty.
     """
-    A: np.ndarray
-    g: np.ndarray
-    b_ref: np.ndarray
-    b_dist: np.ndarray
-    rows: np.ndarray
-    d_F: float
-    d_C: float
-    block_orders: tuple
+    return design._memoized("lmi_assembly.augmented", _build_augmented)
 
 
-def _stacked_loop(design: PredictorDesign) -> _StackedLoop:
-    """The design's stacked loop, built once per design and read-only."""
-    return design._memoized("lmi_assembly.stacked_loop", _build_stacked_loop)
-
-
-def _build_stacked_loop(design: PredictorDesign) -> _StackedLoop:
-    """Realize P_hat, H, F, C on the stacked state; see assemble_augmented."""
+def _build_augmented(design: PredictorDesign) -> AugmentedModel:
+    """Realize P_hat, H, F, C and stack them; see AugmentedModel."""
     sp = _strictly_proper(realize(design.plant_nominal), "plant")
     sh = _strictly_proper(realize(design.predictor_block), "prediction block")
     sf = realize(design.filter)
@@ -139,30 +140,14 @@ def _build_stacked_loop(design: PredictorDesign) -> _StackedLoop:
     rows = np.zeros((4, nxi))
     for i, ss in enumerate((sp, sh, sf, sc)):
         rows[i, s[i]] = ss.c
-    for arr in (A, g, b_ref, b_dist, rows):
+    Ad = np.zeros((nxi, nxi))
+    Ad[:, :n] = np.outer(g, rows[0, :n])
+    for arr in (A, Ad, g, b_ref, b_dist, rows):
         arr.flags.writeable = False
-    return _StackedLoop(A=A, g=g, b_ref=b_ref, b_dist=b_dist, rows=rows,
-                        d_F=sf.d, d_C=sc.d, block_orders=(n, nh, nf, nc))
-
-
-def assemble_augmented(design: PredictorDesign) -> AugmentedModel:
-    """Realize P_hat, H, F, C and stack them into (A_tilde, A_d_tilde).
-
-    The plant and prediction block must be strictly proper; the filter
-    and controller may carry direct terms d_F, d_C.  A static plant
-    (order 0) is rejected since the loop state would be empty.
-    """
-    loop = _stacked_loop(design)
-    n = loop.block_orders[0]
-    Ad = np.zeros_like(loop.A)
-    Ad[:, :n] = np.outer(loop.g, loop.rows[0, :n])
-    return AugmentedModel(A_tilde=loop.A, A_d_tilde=Ad, n_xi=loop.A.shape[0],
+    return AugmentedModel(A_tilde=A, A_d_tilde=Ad, g=g, input_reference=b_ref,
+                          input_disturbance=b_dist, rows=rows, d_F=sf.d, d_C=sc.d,
                           d_hat=design.d_hat, tau_n_min=design.tau_n_min,
-                          tau_n_max=design.tau_n_max,
-                          block_orders=loop.block_orders,
-                          input_reference=loop.b_ref,
-                          input_disturbance=loop.b_dist,
-                          output_row=loop.rows[0])
+                          tau_n_max=design.tau_n_max, block_orders=(n, nh, nf, nc))
 
 
 @dataclass(frozen=True)
@@ -341,18 +326,10 @@ def verify_candidate(problem: LmiProblem, candidates: dict) -> FeasibilityReport
                              candidate_min_eigs=mins)
 
 
-def export_lmi(problem: LmiProblem, path) -> None:
-    """Write the problem as a self-describing JSON document.
-
-    The document lists every constant block dense, each unknown's
-    symmetric dimension, gamma, and the delay bounds; exporting an
-    imported problem reproduces the file byte for byte.
-    """
-    with open(path, "w") as fh:
-        fh.write(problem_document(problem))
-
-
 def problem_document(problem: LmiProblem) -> str:
+    """The problem as a self-describing JSON document: every constant
+    block dense, each unknown's symmetric dimension, gamma, and the delay
+    bounds."""
     model = problem.model
     doc = {
         "kind": "delay-robust-lmi",
@@ -375,31 +352,3 @@ def problem_document(problem: LmiProblem) -> str:
         "blocks": {k: np.asarray(v).tolist() for k, v in sorted(problem.blocks.items())},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def import_lmi(path) -> LmiProblem:
-    """Rebuild an LmiProblem from an exported JSON document."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "delay-robust-lmi":
-        raise ValueError("not an LMI export document")
-    model = AugmentedModel(
-        A_tilde=np.array(doc["A_tilde"], dtype=float),
-        A_d_tilde=np.array(doc["A_d_tilde"], dtype=float),
-        n_xi=int(doc["n_xi"]),
-        d_hat=int(doc["d_hat"]),
-        tau_n_min=int(doc["tau_n_min"]),
-        tau_n_max=int(doc["tau_n_max"]),
-        block_orders=tuple(doc["block_orders"]),
-        input_reference=np.array(doc["input_reference"], dtype=float),
-        input_disturbance=np.array(doc["input_disturbance"], dtype=float),
-        output_row=np.array(doc["output_row"], dtype=float),
-    )
-    return LmiProblem(
-        variant=doc["variant"], gamma=float(doc["gamma"]), model=model,
-        unknowns={k: int(v) for k, v in doc["unknowns"].items()},
-        blocks={k: np.array(v, dtype=float) for k, v in doc["blocks"].items()},
-        side=int(doc["side"]),
-        variable_count=int(doc["variable_count"]),
-        free_parameter_count=int(doc["free_parameter_count"]),
-    )

@@ -42,6 +42,11 @@ class Protocol:
         if self.kind == "p3" and self.selector not in P3_SELECTORS:
             raise ValueError(f"unknown p3 selector {self.selector!r}; expected one of {P3_SELECTORS}")
 
+    @classmethod
+    def coerce(cls, protocol) -> "Protocol":
+        """``protocol`` itself, or the default protocol of kind str(protocol)."""
+        return protocol if isinstance(protocol, cls) else cls(str(protocol))
+
     @property
     def label(self) -> str:
         if self.kind == "p3":

@@ -29,7 +29,7 @@ import io
 
 import numpy as np
 
-from .lmi_assembly import AugmentedModel, _stacked_loop
+from .lmi_assembly import AugmentedModel, assemble_augmented
 from .lti_core import realize
 from .packet_channel import PacketTrace, Protocol, held_index
 from .smith_design import PredictorDesign
@@ -126,36 +126,37 @@ def _lifted(A, cols, out_row, L: int):
 
 
 def _step_data(design: PredictorDesign):
-    """(loop, sv, A, cols, out_row): the stacked loop, the prefilter
+    """(model, sv, A, cols, out_row): the augmented model, the prefilter
     realization, and the step z_{k+1} = A z_k + cols (y_hat_k, r_k, w_k)
     with output out_row z_k on z = (xi, x_V).
 
     The prefilter state x_V rides along after xi, so r_V,k = c_V x_V,k +
     d_V r_k enters through the matrix.
     """
-    loop = _stacked_loop(design)
+    model = assemble_augmented(design)
     sv = realize(design.prefilter)
-    nxi, nv = loop.A.shape[0], sv.order
-    A = np.block([[loop.A, np.outer(loop.b_ref, sv.c)],
+    nxi, nv = model.n_xi, sv.order
+    A = np.block([[model.A_tilde, np.outer(model.input_reference, sv.c)],
                   [np.zeros((nv, nxi)), sv.A]])
-    g, out_row = np.pad([loop.g, loop.rows[0]], ((0, 0), (0, nv)))
-    e_r = np.append(loop.b_ref * sv.d, sv.b)
-    e_w = np.append(loop.b_dist, np.zeros(nv))
-    return loop, sv, A, np.column_stack([g, e_r, e_w]), out_row
+    g, out_row = np.pad([model.g, model.output_row], ((0, 0), (0, nv)))
+    e_r = np.append(model.input_reference * sv.d, sv.b)
+    e_w = np.append(model.input_disturbance, np.zeros(nv))
+    return model, sv, A, np.column_stack([g, e_r, e_w]), out_row
 
 
 def simulate(scenario: SimScenario) -> SimTrace:
     """Run the scenario and return the recorded trace.
 
-    Both models step xi_{k+1} = A_tilde xi_k + g y_hat_k + b_ref r_V,k +
-    b_dist w_k on the stacked state of lmi_assembly, with r_V the
-    prefiltered reference and w the plant-input disturbance, and send the
-    measured output y_k = out_row xi_{k-d_hat} as packet k.  They differ
-    only in the index map y_hat_k = y[held_k]: the packetized loop takes
-    ``held_index`` of its channel, the sample-delay loop k - tau_k; -1
-    reads 0.  y_F, y_H and u are read out of the state history afterwards.
-    The sample-delay model has no channel, so its u, y_hat, y_F, y_H are
-    NaN and its selected_index is -1.
+    Both models step the design's ``assemble_augmented`` model, xi_{k+1} =
+    A_tilde xi_k + g y_hat_k + input_reference r_V,k + input_disturbance
+    w_k, with r_V the prefiltered reference and w the plant-input
+    disturbance, and send the measured output y_k = output_row
+    xi_{k-d_hat} as packet k.  They differ only in the index map y_hat_k
+    = y[held_k]: the packetized loop takes ``held_index`` of its channel,
+    the sample-delay loop k - tau_k; -1 reads 0.  y_F, y_H and u are read
+    out of the state history afterwards.  The sample-delay model has no
+    channel, so its u, y_hat, y_F, y_H are NaN and its selected_index is
+    -1.
 
     The loop advances L = d_hat + min_k(k - held_k) + 1 steps at a time:
     every y_hat of a block then reads an output of a state from before
@@ -164,8 +165,8 @@ def simulate(scenario: SimScenario) -> SimTrace:
     blocks come from one product up front.
     """
     design = scenario.design
-    loop, sv, A, cols, out_row = design._memoized("sim_engine.step", _step_data)
-    nxi, nv = loop.A.shape[0], sv.order
+    model, sv, A, cols, out_row = design._memoized("sim_engine.step", _step_data)
+    nxi, nv = model.n_xi, sv.order
     packetized = scenario.model == "packetized"
     d_hat = design.d_hat
     n = scenario.steps
@@ -218,9 +219,9 @@ def simulate(scenario: SimScenario) -> SimTrace:
         y_hat = y[held]
         xi, x_v = np.hsplit(hist[d_hat:d_hat + last, :N], [nxi])
         r_v = x_v @ sv.c + sv.d * r[:last]
-        y_H = xi @ loop.rows[1]
-        y_F = xi @ loop.rows[2] + loop.d_F * y_hat
-        u = xi @ loop.rows[3] + loop.d_C * (r_v - y_F - y_H)
+        y_H = xi @ model.rows[1]
+        y_F = xi @ model.rows[2] + model.d_F * y_hat
+        u = xi @ model.rows[3] + model.d_C * (r_v - y_F - y_H)
         sel = np.where(held != np.append(-1, held[:-1]), held, -1)
     else:
         u, y_hat, y_F, y_H = (np.full(last, np.nan) for _ in range(4))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
+import math
 
 import numpy as np
 
@@ -132,7 +133,7 @@ class StabilityVerdict:
 
 def check_nominal(design: PredictorDesign, protocol) -> StabilityVerdict:
     """Certify the exact-model packetized loop: ||M|| * alpha < 1."""
-    protocol = protocol if isinstance(protocol, Protocol) else Protocol(str(protocol))
+    protocol = Protocol.coerce(protocol)
     norm_M = _norm_M(design)
     alpha = alpha_formula(protocol, design.tau_bar)
     lhs = norm_M * alpha
@@ -163,6 +164,12 @@ def _uncertain_conditions(alpha_A: float, alpha_B: float, gains):
     return [c1, c2, c3, c4]
 
 
+def _check_alpha_A(alpha_A: float) -> None:
+    if not (math.isfinite(alpha_A) and alpha_A >= 0):
+        raise ValueError("plant uncertainty gain bound alpha_A must be finite "
+                         f"and non-negative; got {alpha_A!r}")
+
+
 def check_uncertain(design: PredictorDesign, protocol,
                     alpha_A: float) -> StabilityVerdict:
     """Certify the loop under a plant perturbation of gain at most alpha_A.
@@ -171,9 +178,8 @@ def check_uncertain(design: PredictorDesign, protocol,
     coincides with check_nominal, and with tau_bar = 0 the test reduces
     to the classical small-gain condition alpha_A*alpha12 < 1.
     """
-    if alpha_A < 0:
-        raise ValueError("plant uncertainty gain bound must be non-negative")
-    protocol = protocol if isinstance(protocol, Protocol) else Protocol(str(protocol))
+    _check_alpha_A(alpha_A)
+    protocol = Protocol.coerce(protocol)
     gains = nominal_loop_gains(design)
     alpha_B = alpha_formula(protocol, design.tau_bar)
     conds = _uncertain_conditions(alpha_A, alpha_B, gains)
@@ -205,7 +211,8 @@ def max_certified_tau(design: PredictorDesign, protocol,
     the first failure ends the scan.  Returns -1 when even tau_bar = 0
     fails (possible only with alpha_A > 0).
     """
-    protocol = protocol if isinstance(protocol, Protocol) else Protocol(str(protocol))
+    _check_alpha_A(alpha_A)
+    protocol = Protocol.coerce(protocol)
     gains = nominal_loop_gains(design) if alpha_A > 0 else None
     norm_M = _norm_M(design)
     best = -1
@@ -228,7 +235,7 @@ def margin_sweep(design: PredictorDesign, protocol, n: int = 512):
     Returns (omega, mag_db) arrays over (0, pi/h]; the loop is certified
     when the whole curve stays below 0 dB.
     """
-    protocol = protocol if isinstance(protocol, Protocol) else Protocol(str(protocol))
+    protocol = Protocol.coerce(protocol)
     alpha = alpha_formula(protocol, design.tau_bar)
     omega = np.linspace(0.0, np.pi / design.h, n + 1)[1:]
     mag = np.abs(_M(design)(np.exp(1j * omega * design.h))) * alpha

@@ -4,7 +4,6 @@ Each test records a single PASS/FAIL line (replayed in the terminal
 summary) and then asserts, so the run output documents every claim.
 """
 
-import dataclasses
 import math
 import time
 
@@ -17,7 +16,7 @@ from netsmith.lmi_assembly import (assemble_augmented, build_lmi,
                                    compact_variable_count, lifted_variable_count)
 from netsmith.lti_core import RationalTF
 from netsmith.packet_channel import PacketTrace, Protocol, worst_case_trace
-from netsmith.presets import demo_controller, demo_design, demo_plant, demo_prefilter
+from netsmith.presets import demo_design
 from netsmith.sim_engine import SimScenario, simulate, simulate_sample_delay
 from netsmith.smith_design import delay_free_reference, make_design
 from netsmith.stability_criteria import (check_nominal, check_uncertain,

@@ -104,6 +104,15 @@ def test_check_scan_refuses_bode(design_file, tmp_path, capsys):
     assert not bode.exists()
 
 
+@pytest.mark.parametrize("alpha_a", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("scan", [[], ["--scan"]], ids=["verdict", "scan"])
+def test_check_ill_posed_alpha_a_is_usage_error(design_file, capsys, alpha_a, scan):
+    rc = main(["check", design_file, "--protocol", "p1", f"--alpha-a={alpha_a}", *scan])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "alpha_A" in captured.err and captured.out == ""
+
+
 def test_check_verdict_document(design_file, capsys):
     main(["check", design_file, "--protocol", "p2", "--tau-max", "2"])
     doc = json.loads(capsys.readouterr().out)

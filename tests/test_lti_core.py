@@ -8,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsmith.lti_core import (NORM_REL_TOL, NumericError, Polynomial,
-                               RationalTF, StateSpace, inf_norm,
-                               realize, roots)
+                               RationalTF, inf_norm, realize, roots)
 
 BRACKET = 1.0 + 2.0 * NORM_REL_TOL
 

@@ -394,5 +394,8 @@ def test_simulate_realizes_each_transfer_function_once_per_design(monkeypatch):
     fresh = PredictorDesign.from_dict(d.to_dict())
     assert first.to_csv() == _run(fresh, "p2", trace, 200).to_csv()
     assert second.to_csv() == _run(fresh, "p1", trace, 200, model="sample_delay").to_csv()
-    with pytest.raises(ValueError, match="read-only"):
-        assemble_augmented(d).A_tilde[0, 0] = 0.0
+    model = assemble_augmented(d)
+    assert assemble_augmented(d) is model
+    for arr in (model.A_tilde, model.A_d_tilde):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0

@@ -143,6 +143,14 @@ def test_uncertain_rejects_negative_alpha_a():
         check_uncertain(demo_design(), Protocol("p1"), alpha_A=-0.5)
 
 
+@pytest.mark.parametrize("alpha_A", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("fn", [check_uncertain, max_certified_tau],
+                         ids=["check_uncertain", "max_certified_tau"])
+def test_ill_posed_alpha_a_raises(fn, alpha_A):
+    with pytest.raises(ValueError, match="alpha_A"):
+        fn(demo_design(), Protocol("p1"), alpha_A=alpha_A)
+
+
 def test_scan_with_uncertainty_can_fail_at_zero():
     d = demo_design()
     _, a12, _, _ = nominal_loop_gains(d)
