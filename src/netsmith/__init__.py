@@ -32,7 +32,6 @@ from .packet_channel import (
     PacketTrace,
     Protocol,
     held_index,
-    run_channel,
     uniform_trace,
     worst_case_trace,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "oracle_gain",
     "realize",
     "roots",
-    "run_channel",
     "simulate",
     "simulate_sample_delay",
     "uniform_trace",

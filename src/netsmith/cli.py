@@ -235,6 +235,8 @@ def cmd_simulate(args) -> int:
         raise ValueError("random packet selection needs an explicit --seed")
     protocol = Protocol(args.protocol, selector=args.selector,
                         seed=args.seed if args.seed is not None else 0)
+    if args.steps < 1:
+        raise ValueError("horizon must be at least 1 step")
     trace = _delays_for(args, design)
     reference = np.full(args.steps, args.amplitude)
     scenario = SimScenario(design=design, protocol=protocol, trace=trace,

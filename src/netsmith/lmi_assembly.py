@@ -259,44 +259,43 @@ def assemble_matrix(problem: LmiProblem, candidates: dict) -> np.ndarray:
     model = problem.model
     n = model.n_xi
     if problem.variant == "lifted":
+        # G'blkdiag(P, S)G by blocks: G = [head; I 0; last] with the
+        # identity on rows n..m of the stacked copies
         P = np.asarray(candidates["P"], dtype=float)
         S = np.asarray(candidates["S"], dtype=float)
         G = problem.blocks["G"]
-        theta1 = _blkdiag(P, S)
-        theta2 = _blkdiag(P, gamma**2 * S)
-        M = G.T @ theta1 @ G - theta2
+        m = P.shape[0]
+        head, last = G[:n], G[m:]
+        X = P[:, :n] @ head
+        X[:, :m - n] += P[:, n:]
+        M = head.T @ X[:n] + last.T @ (S @ last)
+        M[:m - n] += X[n:]
+        M[:m, :m] -= P
+        M[m:, m:] -= gamma**2 * S
     else:
         P, Q1, Q2, R1, R2, S = (np.asarray(candidates[k], dtype=float)
                                 for k in ("P", "Q1", "Q2", "R1", "R2", "S"))
         phi2 = problem.blocks["Phi2"]
         phi3 = problem.blocks["Phi3"]
-        z = np.zeros((n, n))
-        phi1 = np.block([
-            [-P + Q1 + Q2 - R1 - R2, R1, R2, z],
-            [R1.T, -Q1 - R1, z, z],
-            [R2.T, z, -Q2 - R2, z],
-            [z, z, z, -gamma**2 * S],
-        ])
-        psi = np.hstack([
-            phi2.T @ P,
-            (model.d_hat + model.tau_n_min) * (phi3.T @ R1),
-            (model.d_hat + model.tau_n_max) * (phi3.T @ R2),
-            phi3.T @ S,
-        ])
-        M = np.block([[phi1, psi],
-                      [psi.T, _blkdiag(-P, -R1, -R2, -S)]])
+        b = [slice(i * n, (i + 1) * n) for i in range(8)]
+        M = np.zeros((8 * n, 8 * n))
+        M[b[0], b[0]] = -P + Q1 + Q2 - R1 - R2
+        M[b[0], b[1]] = R1
+        M[b[0], b[2]] = R2
+        M[b[1], b[0]] = R1.T
+        M[b[1], b[1]] = -Q1 - R1
+        M[b[2], b[0]] = R2.T
+        M[b[2], b[2]] = -Q2 - R2
+        M[b[3], b[3]] = -gamma**2 * S
+        psi = M[:4 * n, 4 * n:]  # a view: its blocks are written into M
+        psi[:, b[0]] = phi2.T @ P
+        psi[:, b[1]] = (model.d_hat + model.tau_n_min) * (phi3.T @ R1)
+        psi[:, b[2]] = (model.d_hat + model.tau_n_max) * (phi3.T @ R2)
+        psi[:, b[3]] = phi3.T @ S
+        M[4 * n:, :4 * n] = psi.T
+        for i, C in enumerate((P, R1, R2, S), start=4):
+            M[b[i], b[i]] = -C
     return 0.5 * (M + M.T)
-
-
-def _blkdiag(*mats) -> np.ndarray:
-    side = sum(m.shape[0] for m in mats)
-    out = np.zeros((side, side))
-    at = 0
-    for m in mats:
-        k = m.shape[0]
-        out[at:at + k, at:at + k] = m
-        at += k
-    return out
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ omega in [0, pi/h].  Serialized form is ``{"num": [...], "den": [...],
 Arithmetic is exact on coefficients: sums, products and feedback
 combine the numerator and denominator polynomials and never remove a
 pole-zero pair; a caller that knows a common factor divides it out
-with ``divmod``.  The infinity norm comes from a Hamiltonian level-set
-iteration, not a frequency grid; ``inf_norm`` states the bracket it
+with ``divmod``.  The infinity norm comes from a level-set iteration on
+the real polynomial whose unit-circle roots are the crossings of a gain
+level, not from a frequency grid; ``inf_norm`` states the bracket it
 guarantees.
 """
 from __future__ import annotations
@@ -254,60 +255,71 @@ def tf_arith(lhs: RationalTF, rhs: RationalTF, kind: str) -> RationalTF:
     return out
 
 
-def inf_norm(g: RationalTF) -> float:
-    """Supremum of |g| on the unit circle, by a Hamiltonian level set.
+def _root_angles(c: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi] of the roots of the real polynomial c.
 
-    g is realized as given and mapped to continuous time by
-    z = z0 (1+s)/(1-s), which takes the unit circle onto the imaginary
-    axis and s = infinity to z = -z0.  Starting from the largest |g| at
-    theta = 0, at pi and at the pole angles, each step sets the level
-    gamma = (1 + 2*NORM_REL_TOL) * best above every value seen,
-    takes the frequencies of all eigenvalues of the level-gamma
-    Hamiltonian (Boyd-Balakrishnan-Kabamba 1989, Bruinsma-Steinbuch 1990)
-    as breakpoints, since every crossing of |g| = gamma is among them, and
-    evaluates |g| between consecutive breakpoints.  It stops when no
-    midpoint exceeds gamma.  The value returned is attained, and brackets
-    the supremum: inf_norm(g) <= sup|g| < (1 + 2*NORM_REL_TOL) * inf_norm(g).
+    End coefficients at most machine epsilon times the largest one are
+    dropped first: the roots they carry lie at 0 or at infinity to working
+    precision, and a subnormal leading coefficient would make the
+    companion matrix overflow.
+    """
+    a = np.abs(c)
+    kept = np.nonzero(a > np.finfo(float).eps * np.max(a))[0]
+    if kept.size < 2:
+        return np.zeros(0)
+    return np.abs(np.angle(np.roots(c[kept[0]:kept[-1] + 1])))
+
+
+def inf_norm(g: RationalTF) -> float:
+    """Supremum of |g| on the unit circle, by a polynomial level set.
+
+    With U = num * reversed(num), V = den * reversed(den) and
+    s = deg den - deg num, |g|^2 = z^s U / V on |z| = 1 (Boyd-Balakrishnan-
+    Kabamba 1989, Bruinsma-Steinbuch 1990, for one input and one output).
+    So every crossing of |g| = gamma is a root of the real polynomial
+    z^s U - gamma^2 V, and every stationary point of |g| a root of
+    z d/dz(z^s U) V - z^s U z d/dz V.  Starting from the largest |g| at
+    theta = 0, at pi, at the pole angles and at the angles of the
+    stationary roots, each step sets the level
+    gamma = (1 + 2*NORM_REL_TOL) * best above every value seen, takes the
+    angles of all level-gamma roots as breakpoints, and evaluates |g|
+    between consecutive breakpoints.  It stops when no midpoint exceeds
+    gamma.  The value returned is attained, and brackets the supremum:
+    inf_norm(g) <= sup|g| < (1 + 2*NORM_REL_TOL) * inf_norm(g).
 
     Raises
     ------
     NumericError
         If the denominator has a root within ``UNIT_CIRCLE_TOL`` of the
         unit circle (the norm is unbounded or ill-defined).
+    ValueError
+        If g is improper.
     """
     if g.num.is_zero:
         return 0.0
-    ss = realize(g)
-    n = ss.order
+    if not g.is_proper:
+        raise ValueError("an improper transfer function has no unit-circle norm")
+    num, den = g.num.coeffs, g.den.coeffs
+    n = g.den.degree
     if n == 0:
-        return abs(ss.d)
-    poles = np.linalg.eigvals(ss.A)
+        return abs(num[0] / den[0])
+    poles = roots(g.den)
     if np.any(np.abs(np.abs(poles) - 1.0) < UNIT_CIRCLE_TOL):
         raise NumericError("transfer function has a pole on the unit circle")
+    # z^s U aligned with V: s leading and s trailing zeros, degree 2n
+    s = n - g.num.degree
+    u = np.zeros(2 * n + 1)
+    u[s:2 * n + 1 - s] = np.convolve(num, num[::-1])
+    v = np.convolve(den, den[::-1])
+    k = np.arange(2 * n, -1, -1.0)
+    stationary = np.convolve(k * u, v) - np.convolve(u, k * v)
     mag = lambda theta: np.abs(g(np.exp(1j * theta)))
-    theta = np.concatenate(([0.0, math.pi], np.abs(np.angle(poles))))
-    seen = mag(theta)
-    best = float(np.max(seen))
-    # s = infinity goes where |g| is least so far: the direct term d = g(-z0)
-    # then stays well below every level (as r -> 0 the 1/r scaling swamps
-    # the eigenvalues), and -z0 lies away from the poles, which keeps
-    # I + A/z0 well conditioned.  With s = infinity fixed at z = -1, a peak
-    # near pi just above |g(-1)| = best is lost to that scaling.
-    z0 = -np.exp(1j * theta[np.argmin(seen)])
-    eye = np.eye(n)
-    inv = np.linalg.inv(eye + ss.A / z0)
-    a = (ss.A / z0 - eye) @ inv
-    b = math.sqrt(2.0) * (inv @ ss.b) / z0
-    c = math.sqrt(2.0) * (ss.c @ inv)
-    d = complex(g(-z0))
+    theta = np.concatenate(([0.0, math.pi], np.abs(np.angle(poles)),
+                            _root_angles(stationary)))
+    best = float(np.max(mag(theta)))
     while True:
         level = (1.0 + 2.0 * NORM_REL_TOL) * best
-        r = level * level - abs(d) ** 2
-        e = a + np.outer(b, c) * (d.conjugate() / r)
-        ham = np.block([[e, np.outer(b, b.conj()) * (level / r)],
-                        [np.outer(c.conj(), c) * (-level / r), -e.conj().T]])
-        w = np.linalg.eigvals(ham).imag
-        crossings = np.abs(np.angle(z0 * (1.0 + 1j * w) / (1.0 - 1j * w)))
+        crossings = _root_angles(u - (level * level) * v)
         breaks = np.sort(np.concatenate(([0.0, math.pi], crossings)))
         peak = float(np.max(mag(0.5 * (breaks[:-1] + breaks[1:]))))
         best = max(best, peak)

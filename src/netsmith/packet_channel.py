@@ -14,8 +14,8 @@ selection protocols to the arrival set I(p) = {k : k + tau_k = p}:
 
 The rules live here only.  No rule reads the sample values, so the
 channel is one integer map: ``held_index`` gives the send index held at
-every instant (-1, value 0, before the first packet), and ``run_channel``
-reads the samples through it.  ``receive`` steps the same receiver one
+every instant (-1, value 0, before the first packet), and a caller reads
+the samples through it.  ``receive`` steps the same receiver one
 packet at a time, for searches over delays.
 """
 from __future__ import annotations
@@ -207,18 +207,3 @@ def receive(protocol: Protocol, state: tuple, delay: int) -> tuple:
         if rule != "p1" or held is None or pick < held:
             held = pick
     return held, (held, tuple([d - 1 if d else None for d in arrive[1:]]))
-
-
-def run_channel(values, trace: PacketTrace, protocol: Protocol):
-    """Feed a full sample sequence through the channel.
-
-    Returns a numpy vector of y_hat over p = 0 .. len(values)+tau_max-1,
-    long enough for every sent packet to arrive; 0 before the first packet.
-    """
-    n = len(values)
-    if len(trace) < n:
-        raise ValueError(f"trace covers {len(trace)} packets but {n} samples were given")
-    sent = PacketTrace(trace.delays[:n], trace.tau_min, trace.tau_max)
-    held = held_index(sent, protocol, n + trace.tau_max)
-    # the appended 0 is what index -1 reads
-    return np.append(np.asarray(values, dtype=float), 0.0)[held]

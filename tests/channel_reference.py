@@ -6,6 +6,8 @@ netsmith.packet_channel computes the same thing as one index map; the
 differential tests compare the two.  ``receive_reference`` is the
 per-packet automaton step written with an explicit list of the packets
 that land, against which ``packet_channel.receive`` is checked.
+``run_channel`` reads a whole sample sequence through ``held_index``, for
+tests that need the held values rather than the indices.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from netsmith.packet_channel import Protocol
+from netsmith.packet_channel import PacketTrace, Protocol, held_index
 
 
 @dataclass
@@ -81,3 +83,18 @@ def receive_reference(protocol: Protocol, state: tuple, delay: int) -> tuple:
         if rule != "p1" or held is None or pick < held:
             held = pick
     return held, (held, tuple(d - 1 if d else None for d in arrive[1:]))
+
+
+def run_channel(values, trace: PacketTrace, protocol: Protocol):
+    """Feed a full sample sequence through the channel.
+
+    Returns a numpy vector of y_hat over p = 0 .. len(values)+tau_max-1,
+    long enough for every sent packet to arrive; 0 before the first packet.
+    """
+    n = len(values)
+    if len(trace) < n:
+        raise ValueError(f"trace covers {len(trace)} packets but {n} samples were given")
+    sent = PacketTrace(trace.delays[:n], trace.tau_min, trace.tau_max)
+    held = held_index(sent, protocol, n + trace.tau_max)
+    # the appended 0 is what index -1 reads
+    return np.append(np.asarray(values, dtype=float), 0.0)[held]

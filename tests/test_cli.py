@@ -217,6 +217,14 @@ def test_simulate_requires_seed_for_random(design_file, capsys):
                  "--steps", "10"]) == 2
 
 
+@pytest.mark.parametrize("delays", ["pattern", "random"])
+@pytest.mark.parametrize("steps", ["-3", "0"])
+def test_simulate_rejects_empty_horizon(design_file, steps, delays, capsys):
+    assert main(["simulate", design_file, "--protocol", "p1", "--delays", delays,
+                 "--seed", "1", "--steps", steps]) == 2
+    assert "horizon must be at least 1 step" in capsys.readouterr().err
+
+
 def test_simulate_reads_selector_for_p3_only(design_file, capsys):
     base = ["simulate", design_file, "--protocol", "p1", "--delays", "pattern",
             "--steps", "20"]

@@ -16,8 +16,8 @@ import netsmith.gain_analysis as ga
 from netsmith.gain_analysis import (alpha_T_closed_form, alpha_asymptote_check,
                                     alpha_formula, full_block_energy, oracle_gain,
                                     worst_case_norm)
-from netsmith.packet_channel import (PacketTrace, Protocol, run_channel,
-                                     worst_case_trace)
+from channel_reference import run_channel
+from netsmith.packet_channel import PacketTrace, Protocol, worst_case_trace
 
 
 def _reference_oracle(kind, selector, tau_bar, T):

@@ -12,7 +12,8 @@ from netsmith.lmi_assembly import (AugmentedModel, assemble_augmented,
                                    compact_variable_count, lifted_variable_count,
                                    problem_document, verify_candidate)
 from netsmith.lti_core import RationalTF
-from netsmith.presets import demo_design, demo_prefilter
+from netsmith.presets import (demo_controller, demo_design, demo_plant,
+                              demo_prefilter)
 from netsmith.smith_design import make_design
 
 
@@ -106,6 +107,86 @@ def test_assembled_matrix_is_symmetric(model, variant):
     mat = assemble_matrix(prob, _identity_candidates(prob))
     assert mat.shape == (prob.side, prob.side)
     assert np.array_equal(mat, mat.T)
+
+
+def _seeded_candidates(prob, seed):
+    """Non-symmetric Gaussian candidates: the assembly must not rely on
+    symmetry of its inputs."""
+    rng = np.random.default_rng(seed)
+    return {name: rng.standard_normal((dim, dim))
+            for name, dim in sorted(prob.unknowns.items())}
+
+
+def _blkdiag(*mats):
+    side = sum(m.shape[0] for m in mats)
+    out = np.zeros((side, side))
+    at = 0
+    for m in mats:
+        k = m.shape[0]
+        out[at:at + k, at:at + k] = m
+        at += k
+    return out
+
+
+def _dense_lifted(prob, cands):
+    """G' blkdiag(P, S) G - blkdiag(P, gamma^2 S), symmetrized, with dense G."""
+    P, S, G = cands["P"], cands["S"], prob.blocks["G"]
+    M = G.T @ _blkdiag(P, S) @ G - _blkdiag(P, prob.gamma**2 * S)
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("d_hat", [1, 5, 10])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_lifted_matrix_matches_dense_products(d_hat, width):
+    tau_n_min = d_hat % 2
+    d = make_design(demo_plant(), demo_controller(), demo_prefilter(),
+                    d_hat=d_hat, tau_n_min=tau_n_min,
+                    tau_n_max=tau_n_min + width, lam=0.9)
+    prob = build_lmi(assemble_augmented(d), "lifted", 0.9)
+    cands = _seeded_candidates(prob, 10 * d_hat + width)
+    want = _dense_lifted(prob, cands)
+    got = assemble_matrix(prob, cands)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _block_compact(prob, cands):
+    """The compact matrix as one nested np.block, entry by entry the same
+    arithmetic as assemble_matrix."""
+    n, gamma, model = prob.model.n_xi, prob.gamma, prob.model
+    P, Q1, Q2, R1, R2, S = (cands[k] for k in ("P", "Q1", "Q2", "R1", "R2", "S"))
+    phi2, phi3 = prob.blocks["Phi2"], prob.blocks["Phi3"]
+    z = np.zeros((n, n))
+    phi1 = np.block([
+        [-P + Q1 + Q2 - R1 - R2, R1, R2, z],
+        [R1.T, -Q1 - R1, z, z],
+        [R2.T, z, -Q2 - R2, z],
+        [z, z, z, -gamma**2 * S],
+    ])
+    psi = np.hstack([
+        phi2.T @ P,
+        (model.d_hat + model.tau_n_min) * (phi3.T @ R1),
+        (model.d_hat + model.tau_n_max) * (phi3.T @ R2),
+        phi3.T @ S,
+    ])
+    M = np.block([[phi1, psi], [psi.T, _blkdiag(-P, -R1, -R2, -S)]])
+    return 0.5 * (M + M.T)
+
+
+# sha256 of the compact matrix bytes on the demo design at gamma 0.9 with
+# _seeded_candidates(prob, seed), frozen while it was built by np.block
+COMPACT_MATRIX_SHA256 = {
+    1: "ecba8e7bfff394a47bd892b9cad766d61cf9315c2c430672b86f2de79dccd7f1",
+    2: "6ed521a9afabdf44b259f7b1896cb0d8e62d265060fbb977d115e11f0aee18a4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(COMPACT_MATRIX_SHA256))
+def test_compact_matrix_is_bit_identical_to_block_assembly(model, seed):
+    prob = build_lmi(model, "compact", 0.9)
+    cands = _seeded_candidates(prob, seed)
+    got = assemble_matrix(prob, cands)
+    assert np.array_equal(got, _block_compact(prob, cands))
+    assert hashlib.sha256(got.tobytes()).hexdigest() == COMPACT_MATRIX_SHA256[seed]
 
 
 def test_assemble_rejects_bad_shapes(model):

@@ -1,4 +1,9 @@
-"""Transfer-function and state-space plumbing."""
+"""Transfer-function and state-space plumbing.
+
+``inf_norm`` is checked against a frequency-grid lower bound and against
+``norm_reference.hamiltonian_norm``, an independent level-set solver on a
+state-space realization.
+"""
 
 import math
 
@@ -7,8 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netsmith.lti_core as lti_core
+import netsmith.stability_criteria as stability_criteria
 from netsmith.lti_core import (NORM_REL_TOL, NumericError, Polynomial,
                                RationalTF, inf_norm, realize, roots)
+from netsmith.presets import demo_controller, demo_plant, demo_prefilter
+from netsmith.smith_design import make_design
+from norm_reference import hamiltonian_norm
 
 BRACKET = 1.0 + 2.0 * NORM_REL_TOL
 
@@ -145,6 +155,11 @@ def test_inf_norm_rejects_unit_circle_pole():
         inf_norm(g)
 
 
+def test_inf_norm_rejects_improper():
+    with pytest.raises(ValueError, match="improper"):
+        inf_norm(RationalTF([1.0, 0.5], [2.0], 1.0))
+
+
 @pytest.mark.parametrize("r", [0.99999, 0.999999])
 def test_inf_norm_sharp_pole_pair(r):
     # the peak near theta = 1 is about 1 - r wide, far below the reference
@@ -221,8 +236,9 @@ def test_inf_norm_bounds_pointwise_gain(g, w):
 
 @settings(max_examples=40, deadline=None)
 @given(stable_tf())
-# peak near theta = 2.54 just above |g(-1)|, the largest start value: with
-# s = infinity at z = -1 the level-set Hamiltonian loses it
+# peak near theta = 2.54 just above |g(-1)|, the largest of the start values
+# at 0, pi and the pole angles; deg den - deg num = 1 here, and a crossing
+# polynomial with z^s U shifted against V misses this peak
 @example(RationalTF([1.0, 2.14, 1.19], np.poly([-0.697] * 3), 1.0))
 def test_inf_norm_brackets_grid_reference(g):
     ref = _grid_norm(g)
@@ -235,3 +251,54 @@ def test_inf_norm_brackets_grid_reference(g):
 @given(stable_tf(), stable_tf())
 def test_inf_norm_submultiplicative(f, g):
     assert inf_norm(f * g) <= inf_norm(f) * inf_norm(g) * (1.0 + 1e-5) + 1e-9
+
+
+@pytest.mark.parametrize("d_hat", range(1, 11))
+def test_inf_norm_matches_hamiltonian_reference_on_demo_family(d_hat):
+    # M, S (z-1)/z and F T: the norms the small-gain certificates take
+    d = make_design(demo_plant(), demo_controller(), demo_prefilter(),
+                    d_hat=d_hat, tau_n_min=0, tau_n_max=2, lam=0.9)
+    T = (d.controller * d.plant_nominal).feedback()
+    diff = RationalTF([1.0, -1.0], [1.0, 0.0], 1.0)
+    for g in (stability_criteria.build_M(d), (1.0 - T) * diff, d.filter * T):
+        assert inf_norm(g) == pytest.approx(hamiltonian_norm(g), rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stable_tf())
+@example(RationalTF([1.0, 2.14, 1.19], np.poly([-0.697] * 3), 1.0))
+# subnormal end coefficients of the pole polynomial: |g|^2's denominator
+# then has a leading coefficient that overflows the companion matrix
+@example(RationalTF([1.0, 0.5], [1.0, -0.5, 1.1125369292536e-309], 1.0))
+@example(RationalTF([0.5, 0.0, -1.0, 0.25],
+                    [1.0, -0.562501, 0.0312505625, -3.125e-08,
+                     2.3839096727871287e-308], 1.0))
+def test_inf_norm_matches_hamiltonian_reference(g):
+    assert inf_norm(g) == pytest.approx(hamiltonian_norm(g), rel=1e-9)
+
+
+def test_inf_norm_root_solves_on_demo_design(monkeypatch):
+    # the stationary points seed the level above the peak, so the level
+    # loop ends after one or two root solves; iterating shows up here
+    solves = []
+    root_angles = lti_core._root_angles
+
+    def counted_root_angles(c):
+        solves[-1] += 1
+        return root_angles(c)
+
+    def counted_inf_norm(g):
+        solves.append(0)
+        return inf_norm(g)
+
+    def no_realize(g):
+        raise AssertionError("inf_norm realized its argument")
+
+    d = make_design(demo_plant(), demo_controller(), demo_prefilter(),
+                    d_hat=5, tau_n_min=0, tau_n_max=2, lam=0.9)
+    monkeypatch.setattr(lti_core, "_root_angles", counted_root_angles)
+    monkeypatch.setattr(lti_core, "realize", no_realize)
+    monkeypatch.setattr(stability_criteria, "inf_norm", counted_inf_norm)
+    stability_criteria.nominal_loop_gains(d)
+    assert len(solves) == 3
+    assert all(1 <= k <= 3 for k in solves), solves

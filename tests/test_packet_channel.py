@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channel_reference import ChannelState, channel_step, receive_reference
+from channel_reference import (ChannelState, channel_step, receive_reference,
+                               run_channel)
 from netsmith.packet_channel import (PacketTrace, Protocol, held_index, receive,
-                                     run_channel, uniform_trace, worst_case_trace)
+                                     uniform_trace, worst_case_trace)
 
 LABELS = [("p1", "oldest"), ("p2", "oldest"), ("p3", "oldest"), ("p3", "random")]
 
