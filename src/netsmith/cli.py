@@ -34,7 +34,7 @@ from .lti_core import NumericError, RationalTF, roots
 from .packet_channel import (P3_SELECTORS, PROTOCOL_KINDS, PacketTrace, Protocol,
                              uniform_trace, worst_case_trace)
 from .sim_engine import SimScenario, simulate
-from .smith_design import PredictorDesign, make_design
+from .smith_design import PredictorDesign, interpolation_residuals, make_design
 from .stability_criteria import (check_nominal, check_uncertain, margin_sweep,
                                  max_certified_tau)
 
@@ -123,7 +123,6 @@ def cmd_design(args) -> int:
                          tau_n_max=args.tau_net_max,
                          lam=args.lam,
                          slow_pole_threshold=args.slow_pole_threshold)
-    from .smith_design import interpolation_residuals
     for node, order, res in interpolation_residuals(plant, design.filter,
                                                     design.tau_hat):
         print(f"interpolation residual at z={node:.6g} (order {order}): {res:.3e}")
@@ -316,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--tau-net-max", type=int, required=True,
                    help="maximum network delay in samples")
     d.add_argument("--slow-pole-threshold", type=float, default=None,
-                   help="also compensate stable poles with radius above this")
+                   help="also compensate stable poles with radius at least "
+                        "this, in [0, 1)")
     d.add_argument("-o", "--output", default="design.json")
     d.set_defaults(func=cmd_design)
 

@@ -86,8 +86,7 @@ class PacketTrace:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, tau_min: int | None = None,
-                 tau_max: int | None = None) -> "PacketTrace":
+    def from_csv(cls, text: str) -> "PacketTrace":
         rows = [line.strip() for line in text.splitlines() if line.strip()]
         if not rows or rows[0].replace(" ", "") != "j,tau":
             raise ValueError("delay trace CSV must start with header 'j,tau'")
@@ -97,9 +96,7 @@ class PacketTrace:
             if int(j_s) != want:
                 raise ValueError(f"delay trace indices must be 0,1,2,...; got {j_s} in row {want + 1}")
             delays.append(int(tau_s))
-        lo = min(delays, default=0) if tau_min is None else tau_min
-        hi = max(delays, default=0) if tau_max is None else tau_max
-        return cls(tuple(delays), lo, hi)
+        return cls(tuple(delays), min(delays, default=0), max(delays, default=0))
 
 
 def uniform_trace(n: int, tau_min: int, tau_max: int, seed: int) -> PacketTrace:

@@ -2,22 +2,23 @@
 
 The predictor splits the total dead time into a fixed part (the nominal
 plant delay d_hat plus the minimum network delay tau_n_min) and a
-bounded variable remainder.  A robustness filter F with unit dc gain is
-fitted so that the prediction block
+bounded variable remainder.  A robustness filter F = mu_F/nu_F with unit
+dc gain is fitted so that the prediction block
 
     H(z) = P_hat(z) * (1 - z**(-tau_hat) * F(z))
 
 is stable even when the nominal plant P_hat has poles on or outside the
-unit circle: at every such pole the numerator factor
-z**tau_hat * nu_F(z) - mu_F(z) is forced to zero (value and, for repeated
-poles, derivatives), and the offending factor is divided out of H
-exactly, by polynomial division.
+unit circle.  Let den_u be the monic factor of the plant denominator
+whose roots are those poles.  The one interpolation constraint is that
+den_u divides z**tau_hat * nu_F(z) - mu_F(z), so the admissible mu_F are
+the remainder of z**tau_hat * nu_F modulo den_u plus any multiple of
+den_u; the filter takes the constant multiple that sets F(1) = 1.  den_u
+is then divided out of H exactly, by polynomial division.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
-import math
 
 import numpy as np
 
@@ -32,6 +33,7 @@ F_DC_TOL = 1e-9
 INTERP_RESIDUAL_TOL = 1e-6
 STABLE_POLE_MARGIN = 1e-8
 ROOT_CLUSTER_TOL = 1e-6
+AT_ONE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -190,22 +192,36 @@ def _cluster_roots(values, tol: float = ROOT_CLUSTER_TOL):
     return clusters
 
 
-def _constraint_nodes(plant: RationalTF, slow_pole_threshold: float | None):
-    """Poles of the plant at which the interpolation constraint applies.
+def _unstable_poles(plant: RationalTF, slow_pole_threshold: float | None = None):
+    """The plant poles the filter interpolates: the roots of the plant's
+    unstable factor den_u = Polynomial.from_roots(_unstable_poles(plant)).
 
-    Returns one (node, multiplicity) per root cluster with |z| >= 1; with a
-    slow-pole threshold, stable clusters of modulus >= threshold are added.
+    These are the poles with |z| >= 1 - STABLE_POLE_MARGIN and, with a
+    slow-pole threshold, the stable poles with |z| >= threshold.  Each
+    factor (z - 1) dividing the denominator up to AT_ONE_TOL relative
+    rounding is divided out first and enters as an exact 1.0.
+    """
+    den, picked = plant.den, []
+    while den.degree > 0:
+        c = den.coeffs.tolist()
+        if abs(sum(c)) > AT_ONE_TOL * sum(map(abs, c)):
+            break
+        den = Polynomial(np.cumsum(den.coeffs)[:-1])  # synthetic division by (z - 1)
+        picked.append(1.0)
+    for p in roots(den).tolist():
+        if abs(p) >= 1.0 - STABLE_POLE_MARGIN or (
+                slow_pole_threshold is not None and abs(p) >= slow_pole_threshold):
+            picked.append(p)
+    return picked
+
+
+def _constraint_nodes(plant: RationalTF):
+    """The plant's unstable poles as (node, multiplicity) pairs.
+
     Complex nodes are reported once per conjugate pair (imag > 0 half-plane).
     """
-    if plant.den.degree == 0:
-        return []
     nodes = []
-    for z0, mult in _cluster_roots(list(roots(plant.den))):
-        take = abs(z0) >= 1.0
-        if not take and slow_pole_threshold is not None:
-            take = abs(z0) >= slow_pole_threshold
-        if not take:
-            continue
+    for z0, mult in _cluster_roots(_unstable_poles(plant)):
         if abs(z0.imag) < ROOT_CLUSTER_TOL:
             nodes.append((complex(z0.real), mult))
         elif z0.imag > 0:
@@ -213,29 +229,21 @@ def _constraint_nodes(plant: RationalTF, slow_pole_threshold: float | None):
     return nodes
 
 
-def _poly_derivative_rows(degree: int, z0: complex, order: int) -> np.ndarray:
-    """Row of d^order/dz^order of the monomials z**degree .. z**0 at z0."""
-    row = np.zeros(degree + 1, dtype=complex)
-    for j in range(degree + 1):
-        p = degree - j
-        if p >= order:
-            row[j] = math.perm(p, order) * z0 ** (p - order)
-    return row
-
-
 def design_filter(plant: RationalTF, tau_hat: int, lam: float,
                   slow_pole_threshold: float | None = None) -> RationalTF:
     """Fit the robustness filter F = mu_F / (z - lam)**n_F.
 
-    The constraint set is F(1) = 1 plus, at every plant pole with
-    |z| >= 1 (and optionally at stable poles with modulus above
-    ``slow_pole_threshold``), the value and derivative conditions
+    Let den_u be the plant's unstable factor, the monic polynomial whose
+    roots are the poles ``_unstable_poles`` picks.  The constraints are
+    F(1) = 1 and
 
-        d^i/dz^i [ z**tau_hat * nu_F(z) - mu_F(z) ] = 0,  i < multiplicity.
+        den_u divides z**tau_hat * nu_F(z) - mu_F(z),
 
-    n_F is one less than the number of scalar constraints, which makes the
-    linear system for the mu_F coefficients square.  A constraint node at
-    z = 1 duplicates the dc-gain condition and is counted once.
+    which is the value and derivative conditions at every root of den_u.
+    n_F = deg den_u, so mu_F = (z**tau_hat nu_F mod den_u) + c den_u with
+    the scalar c fixed by F(1) = 1.  When den_u has a root at z = 1 it
+    already implies F(1) = 1, so n_F = deg den_u - 1 and mu_F is the
+    remainder alone.
 
     Parameters
     ----------
@@ -246,7 +254,8 @@ def design_filter(plant: RationalTF, tau_hat: int, lam: float,
     lam : float
         Common filter pole location, 0 <= lam < 1.
     slow_pole_threshold : float, optional
-        Also constrain stable plant poles with modulus >= this value.
+        Also constrain stable plant poles with modulus >= this value,
+        which must be finite with 0 <= threshold < 1.
 
     Returns
     -------
@@ -256,57 +265,31 @@ def design_filter(plant: RationalTF, tau_hat: int, lam: float,
         raise ValueError(f"filter pole must satisfy 0 <= lambda < 1; got {lam}")
     if tau_hat < 1:
         raise ValueError(f"compensated delay must be >= 1 sample; got {tau_hat}")
-    nodes = _constraint_nodes(plant, slow_pole_threshold)
-
-    n_rows = 1  # dc-gain row
-    for z0, mult in nodes:
-        rows = mult if abs(z0.imag) < ROOT_CLUSTER_TOL else 2 * mult
-        if abs(z0 - 1.0) < ROOT_CLUSTER_TOL:
-            rows -= 1  # value constraint at z=1 coincides with F(1)=1
-        n_rows += rows
-    n_f = n_rows - 1
-    nu_f = Polynomial.from_roots([lam] * n_f)
-    target = _shift_poly(nu_f, tau_hat)
-
-    A = np.zeros((n_rows, n_f + 1))
-    rhs = np.zeros(n_rows)
-    A[0, :] = 1.0  # mu_F(1) = nu_F(1)
-    rhs[0] = nu_f(1.0)
-    r = 1
-    for z0, mult in nodes:
-        start = 1 if abs(z0 - 1.0) < ROOT_CLUSTER_TOL else 0
-        for order in range(start, mult):
-            row = _poly_derivative_rows(n_f, z0, order)
-            target_der = target
-            for _ in range(order):
-                target_der = target_der.derivative()
-            val = target_der(z0)
-            if abs(z0.imag) < ROOT_CLUSTER_TOL:
-                A[r, :] = row.real
-                rhs[r] = val.real
-                r += 1
-            else:
-                A[r, :] = row.real
-                rhs[r] = val.real
-                A[r + 1, :] = row.imag
-                rhs[r + 1] = val.imag
-                r += 2
-    try:
-        mu = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular interpolation system: {exc}") from exc
-    return RationalTF(Polynomial(mu), nu_f, plant.h)
+    if slow_pole_threshold is not None and not 0.0 <= slow_pole_threshold < 1.0:
+        raise ValueError("slow-pole threshold must satisfy 0 <= threshold < 1; "
+                         f"got {slow_pole_threshold!r}")
+    poles = _unstable_poles(plant, slow_pole_threshold)
+    at_one = 1.0 in poles
+    den_u = Polynomial.from_roots(poles)
+    nu_f = Polynomial.from_roots([lam] * (den_u.degree - at_one))
+    mu_f = divmod(_shift_poly(nu_f, tau_hat), den_u)[1]
+    if not at_one:  # add the multiple of den_u that sets F(1) = 1
+        c = (nu_f(1.0) - mu_f(1.0)) / den_u(1.0)
+        mu_f = mu_f + Polynomial(c * den_u.coeffs)
+    return RationalTF(mu_f, nu_f, plant.h)
 
 
 def interpolation_residuals(plant: RationalTF, filt: RationalTF, tau_hat: int):
-    """Residuals of the stability constraint at each constrained plant pole.
+    """Residuals of the stability constraint at each unstable plant pole.
 
     Returns a list of (node, derivative order, |residual|) triples for
-    d^i/dz^i [ z**tau_hat * nu_F - mu_F ] at every plant pole with |z| >= 1.
+    d^i/dz^i [ z**tau_hat * nu_F - mu_F ] at every root of the plant's
+    unstable factor, i < its multiplicity: the derivative form of the
+    divisibility that ``design_filter`` builds, evaluated independently.
     """
     out = []
     g = _shift_poly(filt.den, tau_hat) - filt.num
-    for z0, mult in _constraint_nodes(plant, None):
+    for z0, mult in _constraint_nodes(plant):
         der = g
         for order in range(mult):
             out.append((z0, order, abs(der(z0))))
@@ -314,37 +297,43 @@ def interpolation_residuals(plant: RationalTF, filt: RationalTF, tau_hat: int):
     return out
 
 
+def _exact_quotient(dividend: Polynomial, den_u: Polynomial, what: str) -> Polynomial:
+    """dividend / den_u, or NumericError when the remainder exceeds
+    INTERP_RESIDUAL_TOL relative to the dividend's largest coefficient."""
+    q, rem = divmod(dividend, den_u)
+    residual = np.max(np.abs(rem.coeffs)) / np.max(np.abs(dividend.coeffs))
+    if residual > INTERP_RESIDUAL_TOL:
+        raise NumericError(f"relative remainder {residual:.3e}: {what}")
+    return q
+
+
 def build_H(plant: RationalTF, filt: RationalTF, tau_hat: int) -> RationalTF:
     """Assemble the stable prediction block H = P_hat (1 - z**(-tau_hat) F).
 
     The rational form is mu_hat (z**tau_hat nu_F - mu_F) over
-    z**tau_hat nu_hat nu_F.  Let den_u be the monic factor of nu_hat whose
-    roots have modulus >= 1 - STABLE_POLE_MARGIN.  The interpolation
-    constraints make den_u divide z**tau_hat nu_F - mu_F, so polynomial
-    division takes it out of numerator and denominator alike:
+    z**tau_hat nu_hat nu_F.  The interpolation constraint makes the plant's
+    unstable factor den_u (the one ``design_filter`` interpolates, without
+    slow poles) divide z**tau_hat nu_F - mu_F, so polynomial division takes
+    it out of numerator and denominator alike:
 
         H = mu_hat q / (z**tau_hat (nu_hat / den_u) nu_F),
         q = (z**tau_hat nu_F - mu_F) / den_u.
 
-    Raises NumericError when the remainder of the division exceeds
-    INTERP_RESIDUAL_TOL relative to the dividend, that is when the filter
-    violates its interpolation constraint.
+    Raises NumericError when either division leaves a remainder above
+    INTERP_RESIDUAL_TOL relative to its dividend; for z**tau_hat nu_F - mu_F
+    that means the filter violates its interpolation constraint.
     """
     if tau_hat < 0:
         raise ValueError("compensated delay must be non-negative")
     num_factor = _shift_poly(filt.den, tau_hat) - filt.num
     if plant.num.is_zero or num_factor.is_zero:
         return RationalTF([0.0], [1.0], plant.h)
-    den_u = Polynomial.from_roots(
-        [p for p in roots(plant.den) if abs(p) >= 1.0 - STABLE_POLE_MARGIN])
-    q, rem = divmod(num_factor, den_u)
-    residual = np.max(np.abs(rem.coeffs)) / np.max(np.abs(num_factor.coeffs))
-    if residual > INTERP_RESIDUAL_TOL:
-        raise NumericError(
-            f"unstable plant poles do not divide z**tau_hat nu_F - mu_F "
-            f"(relative remainder {residual:.3e}): the filter does not "
-            f"satisfy its interpolation constraint")
-    stable_den = divmod(plant.den, den_u)[0]
+    den_u = Polynomial.from_roots(_unstable_poles(plant))
+    q = _exact_quotient(num_factor, den_u, "unstable plant poles do not divide "
+                        "z**tau_hat nu_F - mu_F: the filter does not satisfy its "
+                        "interpolation constraint")
+    stable_den = _exact_quotient(plant.den, den_u, "unstable plant poles do not "
+                                 "divide the plant denominator")
     return RationalTF(plant.num * q,
                       _shift_poly(stable_den * filt.den, tau_hat), plant.h)
 

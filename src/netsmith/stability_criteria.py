@@ -30,7 +30,7 @@ from .lti_core import NumericError, RationalTF, inf_norm, roots
 from .packet_channel import Protocol
 from .smith_design import PredictorDesign, STABLE_POLE_MARGIN
 
-TAU_LIMIT = 1000
+SWEEP_POINTS = 512
 
 
 def _diff_over_z(h: float) -> RationalTF:
@@ -205,39 +205,51 @@ def check_uncertain(design: PredictorDesign, protocol,
 
 def max_certified_tau(design: PredictorDesign, protocol,
                       alpha_A: float = 0.0) -> int:
-    """Largest tau_bar certified by a linear scan from 0 up to TAU_LIMIT.
+    """Largest certified tau_bar, found by galloping and then bisection.
 
     The channel gain is non-decreasing in tau_bar for every protocol, so
-    the first failure ends the scan.  Returns -1 when even tau_bar = 0
-    fails (possible only with alpha_A > 0).
+    the certified tau_bar form an interval from 0: doubling brackets its
+    end and bisection finds it.  Returns -1 when even tau_bar = 0 fails
+    (possible only with alpha_A > 0).  Raises ValueError when ||M|| = 0,
+    since then every tau_bar is certified.
     """
     _check_alpha_A(alpha_A)
     protocol = Protocol.coerce(protocol)
     gains = nominal_loop_gains(design) if alpha_A > 0 else None
     norm_M = _norm_M(design)
-    best = -1
-    for tb in range(TAU_LIMIT + 1):
+    if norm_M == 0.0:
+        raise ValueError("||M|| is 0, so every tau_bar is certified")
+
+    def certified(tb: int) -> bool:
         alpha_B = alpha_formula(protocol, tb)
         if alpha_A > 0:
             conds = _uncertain_conditions(alpha_A, alpha_B, gains)
-            ok = all(lhs is not None and lhs < 1.0 for _, lhs in conds)
+            return all(lhs is not None and lhs < 1.0 for _, lhs in conds)
+        return norm_M * alpha_B < 1.0
+
+    if not certified(0):
+        return -1
+    good, bad = 0, 1
+    while certified(bad):
+        good, bad = bad, 2 * bad
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if certified(mid):
+            good = mid
         else:
-            ok = norm_M * alpha_B < 1.0
-        if not ok:
-            break
-        best = tb
-    return best
+            bad = mid
+    return good
 
 
-def margin_sweep(design: PredictorDesign, protocol, n: int = 512):
+def margin_sweep(design: PredictorDesign, protocol):
     """Frequency sweep of |M(e^{j w h})| * alpha in dB.
 
-    Returns (omega, mag_db) arrays over (0, pi/h]; the loop is certified
-    when the whole curve stays below 0 dB.
+    Returns (omega, mag_db) arrays at SWEEP_POINTS frequencies over
+    (0, pi/h]; the loop is certified when the whole curve stays below 0 dB.
     """
     protocol = Protocol.coerce(protocol)
     alpha = alpha_formula(protocol, design.tau_bar)
-    omega = np.linspace(0.0, np.pi / design.h, n + 1)[1:]
+    omega = np.linspace(0.0, np.pi / design.h, SWEEP_POINTS + 1)[1:]
     mag = np.abs(_M(design)(np.exp(1j * omega * design.h))) * alpha
     floor = np.finfo(float).tiny
     return omega, 20.0 * np.log10(np.maximum(mag, floor))

@@ -64,6 +64,18 @@ def test_design_bad_bounds_is_usage_error(tmp_path, components, capsys):
     assert "delay" in err.lower()
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "1.0"])
+def test_design_ill_posed_slow_pole_threshold_is_usage_error(tmp_path, components,
+                                                             capsys, threshold):
+    out = tmp_path / "d.json"
+    rc = main(["design", components["plant"], components["controller"],
+               components["prefilter"], "--tau-plant", "5", "--tau-net-max", "2",
+               "--slow-pole-threshold", threshold, "-o", str(out)])
+    assert rc == 2
+    assert "slow-pole threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_exit_codes(design_file):
     assert main(["check", design_file, "--protocol", "p1", "--tau-max", "3"]) == 0
     assert main(["check", design_file, "--protocol", "p1", "--tau-max", "4"]) == 1

@@ -1,8 +1,10 @@
 """Import hygiene of the package and its tests, checked on the syntax tree.
 
-No linter is a dependency, so two of its rules are kept here with the
-standard library's ``ast``: every imported name is used, and no netsmith
-module reaches into another one's private (underscore) names.
+No linter is a dependency, so three of its rules are kept here with the
+standard library's ``ast``: every imported name is used, no netsmith
+module reaches into another one's private (underscore) names, and the
+package imports at module level only, so a module's dependencies are
+all in its header.
 """
 
 import ast
@@ -60,3 +62,13 @@ def test_no_module_imports_another_modules_private_name():
             if internal and name.startswith("_") and not name.startswith("__"):
                 private.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not private, "private cross-module imports:\n" + "\n".join(private)
+
+
+def test_package_imports_at_module_level_only():
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert not nested, "imports below module level:\n" + "\n".join(nested)

@@ -14,12 +14,36 @@ from netsmith.lmi_assembly import (AugmentedModel, assemble_augmented,
 from netsmith.lti_core import RationalTF
 from netsmith.presets import (demo_controller, demo_design, demo_plant,
                               demo_prefilter)
-from netsmith.smith_design import make_design
+from netsmith.smith_design import PredictorDesign, make_design
+
+# demo_design() as it was when the hashes below were frozen.  The filter
+# is now the remainder of a polynomial division, a few rounding units away
+# from this one, and the hashes read the model's bytes.
+PINNED_DEMO_DESIGN = {
+    "controller": {"den": [1.0, -1.0], "h": 1.0, "num": [29.504, -29.017184000000004]},
+    "d_hat": 5,
+    "filter": {"den": [1.0, -0.9], "h": 1.0,
+               "num": [1.836038683050351, -1.7360386830503511]},
+    "plant_nominal": {"den": [1.0, -1.051], "h": 1.0, "num": [0.0051271]},
+    "predictor_block": {
+        "den": [1.0, -0.9, 0.0, 0.0, 0.0, 0.0, 0.0], "h": 1.0,
+        "num": [0.0051271, 0.0007741920999999995, 0.0008136758970999995,
+                0.0008551733678520993, 0.0008987872096125564,
+                -0.008468928574564659]},
+    "prefilter": {"den": [1.0, -0.9835], "h": 1.0, "num": [0.16527, -0.14874300000000001]},
+    "tau_n_max": 2,
+    "tau_n_min": 0,
+}
 
 
 @pytest.fixture(scope="module")
 def model():
     return assemble_augmented(demo_design())
+
+
+@pytest.fixture(scope="module")
+def pinned_model():
+    return assemble_augmented(PredictorDesign.from_dict(PINNED_DEMO_DESIGN))
 
 
 def test_augmented_dimensions(model):
@@ -172,7 +196,7 @@ def _block_compact(prob, cands):
     return 0.5 * (M + M.T)
 
 
-# sha256 of the compact matrix bytes on the demo design at gamma 0.9 with
+# sha256 of the compact matrix bytes on PINNED_DEMO_DESIGN at gamma 0.9 with
 # _seeded_candidates(prob, seed), frozen while it was built by np.block
 COMPACT_MATRIX_SHA256 = {
     1: "ecba8e7bfff394a47bd892b9cad766d61cf9315c2c430672b86f2de79dccd7f1",
@@ -181,8 +205,8 @@ COMPACT_MATRIX_SHA256 = {
 
 
 @pytest.mark.parametrize("seed", sorted(COMPACT_MATRIX_SHA256))
-def test_compact_matrix_is_bit_identical_to_block_assembly(model, seed):
-    prob = build_lmi(model, "compact", 0.9)
+def test_compact_matrix_is_bit_identical_to_block_assembly(pinned_model, seed):
+    prob = build_lmi(pinned_model, "compact", 0.9)
     cands = _seeded_candidates(prob, seed)
     got = assemble_matrix(prob, cands)
     assert np.array_equal(got, _block_compact(prob, cands))
@@ -218,7 +242,7 @@ def test_verify_flags_indefinite_candidate(model):
     assert report.candidate_min_eigs["S"] == pytest.approx(-1.0)
 
 
-# sha256 of problem_document on the demo design at gamma 0.9, frozen
+# sha256 of problem_document on PINNED_DEMO_DESIGN at gamma 0.9, frozen
 # before the stacked loop and the augmented model became one record
 DEMO_DOCUMENT_SHA256 = {
     "lifted": "d878f93f88831e44a48ea013aa1f6d72fd464a3e483b230a3f931594537069c8",
@@ -227,8 +251,8 @@ DEMO_DOCUMENT_SHA256 = {
 
 
 @pytest.mark.parametrize("variant", ["lifted", "compact"])
-def test_problem_document_pinned(model, variant):
-    doc = problem_document(build_lmi(model, variant, 0.9))
+def test_problem_document_pinned(pinned_model, variant):
+    doc = problem_document(build_lmi(pinned_model, variant, 0.9))
     assert hashlib.sha256(doc.encode()).hexdigest() == DEMO_DOCUMENT_SHA256[variant]
 
 

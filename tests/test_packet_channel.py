@@ -33,8 +33,9 @@ def test_arrival_times():
 
 def test_trace_csv_round_trip():
     tr = worst_case_trace(5, 3)
-    back = PacketTrace.from_csv(tr.to_csv(), tau_min=0, tau_max=3)
+    back = PacketTrace.from_csv(tr.to_csv())
     assert back.delays == tr.delays
+    assert (back.tau_min, back.tau_max) == (0, 3)
 
 
 def test_trace_validation():

@@ -157,6 +157,41 @@ def test_scan_with_uncertainty_can_fail_at_zero():
     assert max_certified_tau(d, Protocol("p1"), alpha_A=2.0 / a12) == -1
 
 
+def _weak_loop(controller_gain):
+    plant = RationalTF([0.5, -0.2], [1.0, -0.6], 1.0)
+    return make_design(plant, RationalTF.constant(controller_gain, 1.0),
+                       demo_prefilter(), d_hat=2, tau_n_min=0, tau_n_max=2)
+
+
+def test_scan_finds_thresholds_beyond_a_thousand():
+    # ||M|| = 8.746e-4, so p1 certifies up to floor(1/||M||) = 1143
+    d = _weak_loop(0.001)
+    assert [max_certified_tau(d, Protocol(k)) for k in ("p1", "p2", "p3")] == [
+        1143, 749, 748]
+    assert [max_certified_tau(d, Protocol(k), alpha_A=0.01) for k in ("p2", "p3")] == [
+        736, 735]
+    assert check_nominal(_at_tau(d, 1143), Protocol("p1")).certified
+    assert not check_nominal(_at_tau(d, 1144), Protocol("p1")).certified
+
+
+def _linear_scan(design, protocol, alpha_A):
+    tb = 0
+    while check_uncertain(_at_tau(design, tb), protocol, alpha_A).certified:
+        tb += 1
+    return tb - 1
+
+
+def test_scan_matches_a_linear_scan():
+    for d, proto in _random_design_suite(60):
+        for alpha_A in (0.0, 0.03, 0.3):
+            assert max_certified_tau(d, proto, alpha_A) == _linear_scan(d, proto, alpha_A)
+
+
+def test_scan_refuses_a_zero_mismatch():
+    with pytest.raises(ValueError, match="every tau_bar"):
+        max_certified_tau(_weak_loop(0.0), Protocol("p1"))
+
+
 def test_verdict_invariants():
     with pytest.raises(ValueError):
         StabilityVerdict(criterion="nominal", protocol=Protocol("p1"),
