@@ -43,8 +43,9 @@ class PredictorDesign:
     A design is immutable: its fields cannot be reassigned, and its
     transfer functions must not be edited in place.  The consumers rely
     on this to compute each quantity that depends on the design alone
-    (the closed loop, ||M||, the loop gains, the stacked state matrices)
-    once per design and keep it in a private per-instance memo.
+    (the prediction block H, the closed loop, ||M||, the loop gains, the
+    stacked state matrices) once per design and keep it in a private
+    per-instance memo.
     ``dataclasses.replace`` builds a new design with an empty memo.
 
     Fields
@@ -56,8 +57,6 @@ class PredictorDesign:
         against the delay-free nominal plant.
     filter : RationalTF
         Robustness filter F with F(1) = 1.
-    predictor_block : RationalTF
-        Stable prediction block H.
     d_hat : int
         Nominal plant delay in samples.
     tau_n_min, tau_n_max : int
@@ -69,7 +68,6 @@ class PredictorDesign:
     controller: RationalTF
     prefilter: RationalTF
     filter: RationalTF
-    predictor_block: RationalTF
     d_hat: int
     tau_n_min: int
     tau_n_max: int
@@ -100,21 +98,31 @@ class PredictorDesign:
     def h(self) -> float:
         return self.plant_nominal.h
 
+    @property
+    def predictor_block(self) -> RationalTF:
+        """Prediction block H = build_H(plant_nominal, filter, tau_hat),
+        built on first access.  It is derived, never stored, so every
+        consumer reads the H that the small-gain certificate is proved for."""
+        return self._memoized(
+            "smith_design.H", lambda d: build_H(d.plant_nominal, d.filter, d.tau_hat))
+
     def validate(self) -> None:
         check_delay_bounds(self.d_hat, self.tau_n_min, self.tau_n_max)
         if abs(self.filter(1.0) - 1.0) > F_DC_TOL:
             raise ValueError("filter dc gain differs from 1")
-        H = self.predictor_block
-        if not H.is_zero and H.den.degree > 0:
-            mods = np.abs(roots(H.den))
-            if np.any(mods > 1.0 - STABLE_POLE_MARGIN):
-                raise ValueError("predictor block has a pole on or outside the unit circle")
+        # residuals before H, whose build_H raises NumericError on a filter
+        # that breaks its constraint
         for node, order, res in interpolation_residuals(
                 self.plant_nominal, self.filter, self.tau_hat):
             if res > INTERP_RESIDUAL_TOL:
                 raise ValueError(
                     f"interpolation residual {res:.3e} at z={node} (order {order}) "
                     f"exceeds {INTERP_RESIDUAL_TOL}")
+        H = self.predictor_block
+        if not H.is_zero and H.den.degree > 0:
+            mods = np.abs(roots(H.den))
+            if np.any(mods > 1.0 - STABLE_POLE_MARGIN):
+                raise ValueError("predictor block has a pole on or outside the unit circle")
 
     def to_dict(self) -> dict:
         return {
@@ -122,7 +130,6 @@ class PredictorDesign:
             "controller": self.controller.to_dict(),
             "prefilter": self.prefilter.to_dict(),
             "filter": self.filter.to_dict(),
-            "predictor_block": self.predictor_block.to_dict(),
             "d_hat": self.d_hat,
             "tau_n_min": self.tau_n_min,
             "tau_n_max": self.tau_n_max,
@@ -135,7 +142,6 @@ class PredictorDesign:
             controller=RationalTF.from_dict(d["controller"]),
             prefilter=RationalTF.from_dict(d["prefilter"]),
             filter=RationalTF.from_dict(d["filter"]),
-            predictor_block=RationalTF.from_dict(d["predictor_block"]),
             d_hat=int(d["d_hat"]),
             tau_n_min=int(d["tau_n_min"]),
             tau_n_max=int(d["tau_n_max"]),
@@ -175,7 +181,8 @@ def _shift_poly(p: Polynomial, samples: int) -> Polynomial:
 
 
 def _cluster_roots(values, tol: float = ROOT_CLUSTER_TOL):
-    """Group numerically repeated roots into (node, multiplicity) pairs."""
+    """Group numerically repeated roots into (node, members) pairs, node
+    being the members' mean."""
     remaining = list(values)
     clusters = []
     while remaining:
@@ -188,7 +195,7 @@ def _cluster_roots(values, tol: float = ROOT_CLUSTER_TOL):
             else:
                 keep.append(z)
         remaining = keep
-        clusters.append((complex(np.mean(members)), len(members)))
+        clusters.append((complex(sum(members) / len(members)), members))
     return clusters
 
 
@@ -199,7 +206,9 @@ def _unstable_poles(plant: RationalTF, slow_pole_threshold: float | None = None)
     These are the poles with |z| >= 1 - STABLE_POLE_MARGIN and, with a
     slow-pole threshold, the stable poles with |z| >= threshold.  Each
     factor (z - 1) dividing the denominator up to AT_ONE_TOL relative
-    rounding is divided out first and enters as an exact 1.0.
+    rounding is divided out first and enters as an exact 1.0.  The other
+    roots are tested by root cluster, on the cluster's mean, so a repeated
+    pole that np.roots splits across the circle is taken whole or not at all.
     """
     den, picked = plant.den, []
     while den.degree > 0:
@@ -208,10 +217,10 @@ def _unstable_poles(plant: RationalTF, slow_pole_threshold: float | None = None)
             break
         den = Polynomial(np.cumsum(den.coeffs)[:-1])  # synthetic division by (z - 1)
         picked.append(1.0)
-    for p in roots(den).tolist():
-        if abs(p) >= 1.0 - STABLE_POLE_MARGIN or (
-                slow_pole_threshold is not None and abs(p) >= slow_pole_threshold):
-            picked.append(p)
+    for z0, members in _cluster_roots(roots(den).tolist()):
+        if abs(z0) >= 1.0 - STABLE_POLE_MARGIN or (
+                slow_pole_threshold is not None and abs(z0) >= slow_pole_threshold):
+            picked.extend(members)
     return picked
 
 
@@ -221,11 +230,11 @@ def _constraint_nodes(plant: RationalTF):
     Complex nodes are reported once per conjugate pair (imag > 0 half-plane).
     """
     nodes = []
-    for z0, mult in _cluster_roots(_unstable_poles(plant)):
+    for z0, members in _cluster_roots(_unstable_poles(plant)):
         if abs(z0.imag) < ROOT_CLUSTER_TOL:
-            nodes.append((complex(z0.real), mult))
+            nodes.append((complex(z0.real), len(members)))
         elif z0.imag > 0:
-            nodes.append((z0, mult))
+            nodes.append((z0, len(members)))
     return nodes
 
 
@@ -343,12 +352,9 @@ def make_design(plant: RationalTF, controller: RationalTF, prefilter: RationalTF
                 slow_pole_threshold: float | None = None) -> PredictorDesign:
     """Run the full design sequence and return a validated PredictorDesign."""
     check_delay_bounds(d_hat, tau_n_min, tau_n_max)
-    tau_hat = d_hat + tau_n_min
-    filt = design_filter(plant, tau_hat, lam, slow_pole_threshold)
-    block = build_H(plant, filt, tau_hat)
+    filt = design_filter(plant, d_hat + tau_n_min, lam, slow_pole_threshold)
     design = PredictorDesign(plant_nominal=plant, controller=controller,
-                             prefilter=prefilter, filter=filt,
-                             predictor_block=block, d_hat=d_hat,
+                             prefilter=prefilter, filter=filt, d_hat=d_hat,
                              tau_n_min=tau_n_min, tau_n_max=tau_n_max)
     design.validate()
     return design
@@ -362,39 +368,15 @@ def delay_free_reference(design: PredictorDesign) -> RationalTF:
     dividing T.num leaves a remainder within ROOT_CLUSTER_TOL of it."""
     V, T = design.prefilter, (design.controller * design.plant_nominal).feedback()
     num, den = T.num, V.den
-    for z0, mult in _cluster_roots(list(roots(V.den))):
+    for z0, members in _cluster_roots(list(roots(V.den))):
         if z0.imag < -ROOT_CLUSTER_TOL:
             continue  # taken with its conjugate
         pair = [z0.real] if abs(z0.imag) < ROOT_CLUSTER_TOL else [z0, z0.conjugate()]
         factor = Polynomial.from_roots(pair)
-        for _ in range(mult):
+        for _ in members:
             q, rem = divmod(num, factor)
             if np.max(np.abs(rem.coeffs)) > ROOT_CLUSTER_TOL * np.max(np.abs(num.coeffs)):
                 break
             num, den = q, divmod(den, factor)[0]
     return RationalTF(V.num * num, den * T.den, V.h)
 
-
-def nominal_closed_loop(design: PredictorDesign):
-    """Nominal closed-loop transfer functions (constant total delay).
-
-    Returns
-    -------
-    (T_r, T_d) : tuple of RationalTF
-        T_r = V C P_hat D / (1 + C P_hat) from the reference and
-        T_d = P_hat D [1 - C F P_hat D / (1 + C P_hat)] from a plant-input
-        disturbance, where D = z**(-tau_hat).  Raises if T_r is unstable,
-        which signals a controller that does not stabilize the delay-free
-        plant.
-    """
-    D = RationalTF.delay(design.tau_hat, design.h)
-    loop = design.controller * design.plant_nominal
-    T = loop.feedback()
-    T_r = design.prefilter * T * D
-    T_d = design.plant_nominal * D * (RationalTF.constant(1.0, design.h)
-                                      - design.filter * T * D)
-    if T_r.den.degree > 0:
-        mods = np.abs(roots(T_r.den))
-        if np.any(mods > 1.0 - STABLE_POLE_MARGIN):
-            raise NumericError("nominal reference loop is unstable")
-    return T_r, T_d

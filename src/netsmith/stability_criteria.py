@@ -102,19 +102,20 @@ class StabilityVerdict:
     tau_bar: int
     margin: float
     component_gains: dict
-    verdict: str
     binding: str
 
     def __post_init__(self):
         for name, val in self.component_gains.items():
             if val < 0:
                 raise ValueError(f"component gain {name} is negative")
-        if (self.verdict == "certified") != (self.margin > 0):
-            raise ValueError("verdict does not match margin sign")
 
     @property
     def certified(self) -> bool:
-        return self.verdict == "certified"
+        return self.margin > 0
+
+    @property
+    def verdict(self) -> str:
+        return "certified" if self.certified else "not-certified"
 
     def to_dict(self) -> dict:
         return {
@@ -143,7 +144,6 @@ def check_nominal(design: PredictorDesign, protocol) -> StabilityVerdict:
         tau_bar=design.tau_bar,
         margin=1.0 - lhs,
         component_gains={"norm_M": norm_M, "alpha": alpha},
-        verdict="certified" if lhs < 1.0 else "not-certified",
         binding="norm_M*alpha < 1",
     )
 
@@ -198,7 +198,6 @@ def check_uncertain(design: PredictorDesign, protocol,
         component_gains={"alpha_A": alpha_A, "alpha_B": alpha_B,
                          "alpha11": a11, "alpha12": a12,
                          "alpha21": a21, "alpha22": a22},
-        verdict="certified" if worst < 1.0 else "not-certified",
         binding=binding,
     )
 

@@ -10,7 +10,7 @@ import pytest
 from netsmith.cli import main
 from netsmith.lti_core import RationalTF
 from netsmith.presets import demo_controller, demo_plant, demo_prefilter
-from netsmith.smith_design import make_design
+from netsmith.smith_design import PredictorDesign, design_filter, make_design
 
 
 @pytest.fixture()
@@ -130,6 +130,42 @@ def test_check_verdict_document(design_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "certified"
     assert doc["component_gains"]["alpha"] == pytest.approx(2.0816659994661326)
+
+
+def _stored_blocks(design_file):
+    """predictor_block entries that disagree with the file's plant, filter
+    and delay: H times 5, H times -1, and the H of the demo at tau_n_min 1."""
+    doc = json.loads(Path(design_file).read_text())
+    H = PredictorDesign.from_dict(doc).predictor_block.to_dict()
+    other = make_design(demo_plant(), demo_controller(), demo_prefilter(),
+                        d_hat=5, tau_n_min=1, tau_n_max=2).predictor_block
+    return doc, {"times 5": {**H, "num": [5.0 * c for c in H["num"]]},
+                 "times -1": {**H, "num": [-c for c in H["num"]]},
+                 "tau_n_min 1": other.to_dict()}
+
+
+@pytest.mark.parametrize("block", ["times 5", "times -1", "tau_n_min 1"])
+def test_stored_prediction_block_is_ignored(design_file, tmp_path, block):
+    doc, blocks = _stored_blocks(design_file)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps({**doc, "predictor_block": blocks[block]}))
+    outputs = []
+    for path in (design_file, tampered):
+        verdict, trace = tmp_path / "verdict.json", tmp_path / "trace.csv"
+        assert main(["check", str(path), "--protocol", "p1", "-o", str(verdict)]) == 0
+        assert main(["simulate", str(path), "--protocol", "p1", "--delays", "pattern",
+                     "--steps", "300", "-o", str(trace)]) == 0
+        outputs.append((verdict.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_filter_for_another_delay_is_usage_error(design_file, tmp_path, capsys):
+    doc = json.loads(Path(design_file).read_text())
+    doc["filter"] = design_filter(demo_plant(), 4, 0.9).to_dict()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), "--protocol", "p1"]) == 2
+    assert "interpolation residual" in capsys.readouterr().err
 
 
 def test_check_bode_output(design_file, tmp_path):

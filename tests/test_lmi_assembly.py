@@ -18,7 +18,8 @@ from netsmith.smith_design import PredictorDesign, make_design
 
 # demo_design() as it was when the hashes below were frozen.  The filter
 # is now the remainder of a polynomial division, a few rounding units away
-# from this one, and the hashes read the model's bytes.
+# from this one, and the hashes read the model's bytes.  Design files then
+# stored the prediction block; loading ignores it and derives H.
 PINNED_DEMO_DESIGN = {
     "controller": {"den": [1.0, -1.0], "h": 1.0, "num": [29.504, -29.017184000000004]},
     "d_hat": 5,
@@ -44,6 +45,11 @@ def model():
 @pytest.fixture(scope="module")
 def pinned_model():
     return assemble_augmented(PredictorDesign.from_dict(PINNED_DEMO_DESIGN))
+
+
+def test_pinned_prediction_block_is_derived_bit_for_bit():
+    H = PredictorDesign.from_dict(PINNED_DEMO_DESIGN).predictor_block
+    assert H.to_dict() == PINNED_DEMO_DESIGN["predictor_block"]
 
 
 def test_augmented_dimensions(model):

@@ -16,6 +16,7 @@ from netsmith.sim_engine import (DIVERGENCE_LIMIT, SimScenario, SimTrace, simula
 from netsmith.smith_design import PredictorDesign, make_design
 import netsmith.lmi_assembly as la
 import netsmith.sim_engine as se
+import netsmith.smith_design as sd
 from netsmith.presets import demo_controller, demo_plant, demo_prefilter
 
 
@@ -399,3 +400,16 @@ def test_simulate_realizes_each_transfer_function_once_per_design(monkeypatch):
     for arr in (model.A_tilde, model.A_d_tilde):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0.0
+
+
+def test_prediction_block_built_once_per_design(monkeypatch):
+    calls = []
+    build_H = sd.build_H
+    monkeypatch.setattr(sd, "build_H", lambda *args: calls.append(args) or build_H(*args))
+    d = make_design(demo_plant(), demo_controller(), demo_prefilter(),
+                    d_hat=5, tau_n_min=0, tau_n_max=2)
+    trace = uniform_trace(200, 0, 2, 5)
+    assemble_augmented(d)
+    _run(d, "p2", trace, 200)
+    _run(d, "p1", trace, 200, model="sample_delay")
+    assert calls == [(d.plant_nominal, d.filter, d.tau_hat)]

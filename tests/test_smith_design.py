@@ -19,8 +19,7 @@ from netsmith.lti_core import NumericError, Polynomial, RationalTF, roots
 from netsmith.presets import demo_controller, demo_design, demo_plant, demo_prefilter
 from netsmith.smith_design import (PredictorDesign, build_H, check_delay_bounds,
                                    delay_free_reference, design_filter,
-                                   interpolation_residuals, make_design,
-                                   nominal_closed_loop)
+                                   interpolation_residuals, make_design)
 
 LAM = 0.9
 
@@ -87,19 +86,6 @@ def test_delay_free_reference_cancels_one_of_a_double_prefilter_pole():
         assert ref(z) == pytest.approx(full(z), rel=1e-9)
 
 
-def test_demo_disturbance_rejection_at_dc():
-    _, Td = nominal_closed_loop(demo_design())
-    assert abs(Td(1.0)) < 1e-9
-
-
-def test_nominal_reference_includes_full_delay():
-    d = demo_design()
-    Tr, _ = nominal_closed_loop(d)
-    Tfree = delay_free_reference(d)
-    z = np.exp(0.3j)
-    assert Tr(z) == pytest.approx(Tfree(z) * z ** -d.tau_hat, rel=1e-9)
-
-
 def test_filter_order_one_per_extra_constraint():
     # two real unstable poles need a second-order filter denominator
     plant = RationalTF([0.01], Polynomial.from_roots([1.2, 1.05], 1.0).coeffs, 1.0)
@@ -158,20 +144,27 @@ def test_slow_pole_threshold_must_lie_in_unit_interval(threshold):
         design_filter(plant, 2, LAM, slow_pole_threshold=threshold)
 
 
-@pytest.mark.parametrize("radius", [1.0, 1.0 - 5e-9])
-def test_undamped_pole_pair_designs(radius):
+@pytest.mark.parametrize(
+    "radius,repeat", [(1.0, 1), (1.0 - 5e-9, 1), (1.0, 2), (1.0 - 5e-9, 2)],
+    ids=["1.0", "0.999999995", "1.0-twice", "0.999999995-twice"])
+def test_undamped_pole_pair_designs(radius, repeat):
     # np.roots returns this pair up to a rounding error inside the unit
-    # circle; the filter must interpolate it all the same
-    poles = [radius * np.exp(0.3j), radius * np.exp(-0.3j)]
+    # circle, and splits a repeated one radially across it; the filter must
+    # interpolate every pole all the same
+    poles = [radius * np.exp(0.3j), radius * np.exp(-0.3j)] * repeat
     plant = RationalTF([0.01], Polynomial.from_roots(poles).coeffs, 1.0)
     d = make_design(plant, RationalTF.constant(0.5, 1.0), demo_prefilter(),
                     d_hat=3, tau_n_min=0, tau_n_max=2)
-    assert d.filter.den.degree == 2
-    assert d.filter(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert d.filter.den.degree == 2 * repeat
+    # F(1) = mu_F(1) / (1 - lam)**n_F: each pair scales mu_F's rounding by 100
+    assert d.filter(1.0) == pytest.approx(1.0, abs=1e-12 * 100 ** (repeat - 1))
     res = interpolation_residuals(plant, d.filter, d.tau_hat)
-    assert [(order, node.imag > 0) for node, order, _ in res] == [(0, True)]
-    assert res[0][2] < 1e-12
-    assert d.predictor_block.den.degree == 3 + 2
+    assert [(order, node.imag > 0) for node, order, _ in res] == [
+        (order, True) for order in range(repeat)]
+    assert max(r for _, _, r in res) < 1e-12
+    H = d.predictor_block
+    assert H.den.degree == 3 + 2 * repeat
+    assert np.abs(roots(H.den)).max() < 0.95
 
 
 def test_stable_pole_near_one_is_not_taken_as_an_integrator():
@@ -227,6 +220,15 @@ def test_validate_rejects_tampered_filter():
     bad = dataclasses.replace(d, filter=RationalTF.constant(1.0, 1.0))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_prediction_block_is_derived_not_stored():
+    d = demo_design()
+    assert "predictor_block" not in d.to_dict()
+    assert "predictor_block" not in {f.name for f in dataclasses.fields(PredictorDesign)}
+    assert d.predictor_block is d.predictor_block
+    H = build_H(d.plant_nominal, d.filter, d.tau_hat)
+    assert (d.predictor_block.num, d.predictor_block.den) == (H.num, H.den)
 
 
 def test_design_json_round_trip():

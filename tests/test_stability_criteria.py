@@ -197,12 +197,7 @@ def test_verdict_invariants():
         StabilityVerdict(criterion="nominal", protocol=Protocol("p1"),
                          tau_bar=1, margin=0.5,
                          component_gains={"norm_M": -1.0, "alpha": 1.0},
-                         verdict="certified", binding="norm_M*alpha < 1")
-    with pytest.raises(ValueError):
-        StabilityVerdict(criterion="nominal", protocol=Protocol("p1"),
-                         tau_bar=1, margin=-0.5,
-                         component_gains={"norm_M": 1.0, "alpha": 1.0},
-                         verdict="certified", binding="norm_M*alpha < 1")
+                         binding="norm_M*alpha < 1")
 
 
 def test_verdict_serialization():
