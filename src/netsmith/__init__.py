@@ -32,6 +32,7 @@ from .packet_channel import (
     PacketTrace,
     Protocol,
     held_index,
+    staleness_automaton,
     uniform_trace,
     worst_case_trace,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "roots",
     "simulate",
     "simulate_sample_delay",
+    "staleness_automaton",
     "uniform_trace",
     "verify_candidate",
     "worst_case_norm",

@@ -16,11 +16,13 @@ The rules live here only.  No rule reads the sample values, so the
 channel is one integer map: ``held_index`` gives the send index held at
 every instant (-1, value 0, before the first packet), and a caller reads
 the samples through it.  ``receive`` steps the same receiver one
-packet at a time, for searches over delays.
+packet at a time, and ``staleness_automaton`` tabulates every state that
+it reaches, once per rule and delay bounds, for searches over delays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import io
 
 import numpy as np
@@ -52,6 +54,11 @@ class Protocol:
         if self.kind == "p3":
             return f"p3-{self.selector}"
         return self.kind
+
+    @property
+    def rule(self) -> str:
+        """The selection rule: "p1", "p2", or the p3 selector."""
+        return self.selector if self.kind == "p3" else self.kind
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,7 @@ def held_index(trace: PacketTrace, protocol: Protocol, n: int) -> np.ndarray:
     arrival = index + np.asarray(trace.delays[:m], dtype=np.int64)
     keep = arrival < n
     index, arrival = index[keep], arrival[keep]
-    rule = protocol.selector if protocol.kind == "p3" else protocol.kind
+    rule = protocol.rule
     pick = np.full(n, -1)
     if rule in ("p1", "p2"):
         np.maximum.at(pick, arrival, index)
@@ -190,7 +197,7 @@ def receive(protocol: Protocol, state: tuple, delay: int) -> tuple:
     packet lands at j, so I(j) is known.  Returns the staleness held at j
     and the state before packet j+1.  p3-random raises ValueError.
     """
-    rule = protocol.selector if protocol.kind == "p3" else protocol.kind
+    rule = protocol.rule
     if rule == "random":
         raise ValueError("random p3 selection has no deterministic transition")
     stale, flight = state
@@ -204,3 +211,40 @@ def receive(protocol: Protocol, state: tuple, delay: int) -> tuple:
         if rule != "p1" or held is None or pick < held:
             held = pick
     return held, (held, tuple([d - 1 if d else None for d in arrive[1:]]))
+
+
+def staleness_automaton(protocol, tau_min: int, tau_max: int) -> tuple:
+    """Every ``receive`` state that delays in [tau_min, tau_max] reach, and
+    its transitions, as a table built once per rule and bounds.
+
+    Returns (states, rows): states[0] is the start (None, (None,) *
+    tau_max), the rest are numbered in breadth-first order, and
+    rows[i][t - tau_min] is (staleness held, next state id) for packet
+    delay t from states[i].  Both are tuples, shared by every caller with
+    the same rule and bounds; a p3 seed plays no part.  p3-random raises
+    ValueError, as ``receive`` does.
+    """
+    protocol = Protocol.coerce(protocol)
+    if protocol.rule == "random":
+        raise ValueError("random p3 selection has no deterministic transition")
+    if not 0 <= tau_min <= tau_max:
+        raise ValueError(f"delay bounds must satisfy 0 <= tau_min <= tau_max; "
+                         f"got [{tau_min}, {tau_max}]")
+    return _automaton(protocol.rule, tau_min, tau_max)
+
+
+@functools.lru_cache(maxsize=None)
+def _automaton(rule: str, tau_min: int, tau_max: int) -> tuple:
+    protocol = Protocol("p3", selector=rule) if rule == "oldest" else Protocol(rule)
+    start = (None, (None,) * tau_max)
+    ids, states, rows = {start: 0}, [start], []
+    for state in states:  # the list grows as the search meets new states
+        row = []
+        for t in range(tau_min, tau_max + 1):
+            stale, nxt = receive(protocol, state, t)
+            k = ids.setdefault(nxt, len(states))
+            if k == len(states):
+                states.append(nxt)
+            row.append((stale, k))
+        rows.append(tuple(row))
+    return tuple(states), tuple(rows)

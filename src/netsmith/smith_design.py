@@ -34,6 +34,7 @@ INTERP_RESIDUAL_TOL = 1e-6
 STABLE_POLE_MARGIN = 1e-8
 ROOT_CLUSTER_TOL = 1e-6
 AT_ONE_TOL = 1e-12
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,12 @@ class PredictorDesign:
 
     def validate(self) -> None:
         check_delay_bounds(self.d_hat, self.tau_n_min, self.tau_n_max)
-        if abs(self.filter(1.0) - 1.0) > F_DC_TOL:
+        # F(1) = 1 as mu_F(1) = nu_F(1), each the sum of its coefficients:
+        # F(1) itself divides mu_F's rounding by nu_F(1) = (1 - lam)^n_F, so
+        # allow for the rounding of both sums
+        mu, nu = self.filter.num.coeffs.tolist(), self.filter.den.coeffs.tolist()
+        rounding = 8 * (len(mu) + len(nu)) * EPS * sum(map(abs, mu + nu))
+        if abs(sum(mu) - sum(nu)) > F_DC_TOL * abs(sum(nu)) + rounding:
             raise ValueError("filter dc gain differs from 1")
         # residuals before H, whose build_H raises NumericError on a filter
         # that breaks its constraint

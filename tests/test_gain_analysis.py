@@ -12,12 +12,12 @@ import math
 import numpy as np
 import pytest
 
-import netsmith.gain_analysis as ga
+import netsmith.packet_channel as pc
 from netsmith.gain_analysis import (alpha_T_closed_form, alpha_asymptote_check,
                                     alpha_formula, full_block_energy, oracle_gain,
                                     worst_case_norm)
 from channel_reference import run_channel
-from netsmith.packet_channel import PacketTrace, Protocol, worst_case_trace
+from netsmith.packet_channel import PacketTrace, Protocol, held_index, worst_case_trace
 
 
 def _reference_oracle(kind, selector, tau_bar, T):
@@ -187,16 +187,41 @@ def test_ill_posed_amplitude_raises(call, v_bar):
 @pytest.mark.parametrize("kind", ["p1", "p2", "p3"])
 @pytest.mark.parametrize("tau_bar,T", [(3, 8), (2, 10)])
 def test_oracle_computes_each_transition_once(monkeypatch, kind, tau_bar, T):
+    """From an empty automaton cache the first oracle call asks the
+    receiver each (state, delay) pair at most once; a second call with
+    the same rule and tau_bar asks none."""
     asked = []
-    real = ga.receive
+    real = pc.receive
 
     def counting(protocol, state, delay):
         asked.append((state, delay))
         return real(protocol, state, delay)
 
-    monkeypatch.setattr(ga, "receive", counting)
-    oracle_gain(Protocol(kind), tau_bar, T)
+    monkeypatch.setattr(pc, "receive", counting)
+    pc._automaton.cache_clear()
+    first = oracle_gain(Protocol(kind), tau_bar, T)
     assert asked and len(asked) == len(set(asked))
+    asked.clear()
+    again = oracle_gain(Protocol(kind, seed=5), tau_bar, T, v_bar=2.0)
+    assert not asked
+    assert again.trace == first.trace and again.norm_sq == 4 * first.norm_sq
+
+
+def test_p3_ramp_gain_is_not_the_l2_gain():
+    """p3-oldest at tau_bar 1: under the alternating burst trace the
+    channel holds each sample two instants, and the increment pattern u
+    of period 2 along the top right singular vector of [[1, 0], [1, 1]]
+    gives ||w|| / ||u|| near the golden ratio, above the paper's ramp
+    gain alpha_formula, with w_k the sum of u_i over held_k < i <= k."""
+    n = 4000
+    held = held_index(worst_case_trace(n, 1), Protocol("p3"), n)
+    v = np.linalg.svd(np.array([[1.0, 0.0], [1.0, 1.0]]))[2][0]
+    u = v[(np.arange(n) + 1) % 2]
+    csum = np.concatenate([[0.0], np.cumsum(u)])
+    w = csum[1:] - csum[held + 1]
+    ratio = np.linalg.norm(w) / np.linalg.norm(u)
+    assert ratio == pytest.approx(1.6178, abs=1e-4)
+    assert ratio > alpha_formula(Protocol("p3"), 1) + 0.03
 
 
 # Frozen values; the trace hashes pin the lexicographic tie-break at

@@ -3,8 +3,9 @@
 The property tests re-derive each protocol's selection rule with an
 independent fold over the arrival sets, run the per-step reference
 receiver of ``channel_reference`` against the ``held_index`` map, and
-replay the ``receive`` automaton against it and against the reference
-transition of ``channel_reference`` on every reachable state.
+replay the ``receive`` automaton and the table of ``staleness_automaton``
+against it, and that table against the reference transition of
+``channel_reference`` on every reachable state.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from channel_reference import (ChannelState, channel_step, receive_reference,
                                run_channel)
 from netsmith.packet_channel import (PacketTrace, Protocol, held_index, receive,
-                                     uniform_trace, worst_case_trace)
+                                     staleness_automaton, uniform_trace,
+                                     worst_case_trace)
 
 LABELS = [("p1", "oldest"), ("p2", "oldest"), ("p3", "oldest"), ("p3", "random")]
 
@@ -286,44 +288,73 @@ def test_receive_replays_held_index(case):
     assert np.array_equal(held_index(trace, protocol, len(trace)), held)
 
 
-def _transitions(proto, tau_min, tau_max):
-    """(state, delay, receive result) for every state that delays in
-    [tau_min, tau_max] reach from the start, and every such delay."""
-    start = (None, (None,) * tau_max)
-    seen, frontier = {start}, [start]
-    while frontier:
-        state = frontier.pop()
-        for t in range(tau_min, tau_max + 1):
-            out = receive(proto, state, t)
-            yield state, t, out
-            if out[1] not in seen:
-                seen.add(out[1])
-                frontier.append(out[1])
+@settings(max_examples=150, deadline=None)
+@given(channel_cases())
+def test_staleness_automaton_replays_held_index(case):
+    trace, protocol = case
+    if protocol.label == "p3-random":
+        with pytest.raises(ValueError, match="random"):
+            staleness_automaton(protocol, trace.tau_min, trace.tau_max)
+        return
+    _, rows = staleness_automaton(protocol, trace.tau_min, trace.tau_max)
+    held, i = [], 0
+    for j, t in enumerate(trace.delays):
+        stale, i = rows[i][t - trace.tau_min]
+        held.append(-1 if stale is None else j - stale)
+    assert np.array_equal(held_index(trace, protocol, len(trace)), held)
+
+
+@pytest.mark.parametrize("label,counts", [("p1", (4, 11, 40, 185)),
+                                          ("p2", (4, 15, 73, 433)),
+                                          ("p3-oldest", (6, 22, 102, 579))],
+                         ids=["p1", "p2", "p3-oldest"])
+def test_staleness_automaton_state_counts(label, counts):
+    proto = Protocol(*label.split("-"))
+    for tau_max, want in enumerate(counts, 1):
+        states, rows = staleness_automaton(proto, 0, tau_max)
+        assert len(states) == len(rows) == want
+        assert states[0] == (None, (None,) * tau_max)
+        assert len(set(states)) == want
+        assert all(len(row) == tau_max + 1 for row in rows)
+
+
+def test_staleness_automaton_is_shared_per_rule_and_bounds():
+    """One table per rule and delay bounds: a p3 seed or a coerced label
+    gets the same tuples back; bad bounds raise."""
+    assert staleness_automaton(Protocol("p3", seed=1), 1, 3) is \
+        staleness_automaton(Protocol("p3", seed=2), 1, 3)
+    assert staleness_automaton("p2", 0, 2) is staleness_automaton(Protocol("p2"), 0, 2)
+    assert staleness_automaton("p1", 0, 2) is not staleness_automaton("p2", 0, 2)
+    for lo, hi in [(-1, 2), (3, 2)]:
+        with pytest.raises(ValueError, match="tau_min"):
+            staleness_automaton("p1", lo, hi)
 
 
 @pytest.mark.parametrize("tau_min,tau_max", [(0, 1), (0, 3), (1, 3), (3, 3), (1, 4)])
 def test_staleness_bounds_hold_on_every_trace(tau_min, tau_max):
-    """A search of every receiver state that delays in [tau_min, tau_max]
-    reach attains each bound the held_index docstring proves, and no more.
+    """Every receiver state that delays in [tau_min, tau_max] reach
+    attains each bound the held_index docstring proves, and no more.
     Instants before the first packet lands (staleness None) are at most
     tau_max stale, which that proof covers separately."""
     for label, proto in [("p1", Protocol("p1")), ("p2", Protocol("p2")),
                          ("p3-oldest", Protocol("p3"))]:
-        worst = max(-1 if stale is None else stale
-                    for _, _, (stale, _) in _transitions(proto, tau_min, tau_max))
+        _, rows = staleness_automaton(proto, tau_min, tau_max)
+        worst = max(-1 if stale is None else stale for row in rows for stale, _ in row)
         assert worst == _staleness_bound(label, tau_min, tau_max), label
 
 
 @pytest.mark.parametrize("tau_max", range(5))
 def test_receive_matches_reference_on_every_reachable_state(tau_max):
-    """Every reachable state, every delay: the transition agrees with the
-    reference step, and out-of-range delays and random selection raise."""
+    """Every reachable state, every delay: the automaton's transition
+    agrees with the reference step, and out-of-range delays and random
+    selection raise."""
     for proto in (Protocol("p1"), Protocol("p2"), Protocol("p3")):
-        for state, t, out in _transitions(proto, 0, tau_max):
-            assert out == receive_reference(proto, state, t)
-            if t == 0:
-                for bad in (-1, tau_max + 1):
-                    with pytest.raises(ValueError, match="outside"):
-                        receive(proto, state, bad)
+        states, rows = staleness_automaton(proto, 0, tau_max)
+        for state, row in zip(states, rows):
+            for t, (stale, k) in enumerate(row):
+                assert (stale, states[k]) == receive_reference(proto, state, t)
+            for bad in (-1, tau_max + 1):
+                with pytest.raises(ValueError, match="outside"):
+                    receive(proto, state, bad)
     with pytest.raises(ValueError, match="random"):
         receive(Protocol("p3", selector="random"), (None, (None,) * tau_max), 0)

@@ -222,6 +222,31 @@ def test_validate_rejects_tampered_filter():
         bad.validate()
 
 
+@pytest.mark.parametrize("poles,lam,tau_hat", [
+    ((1.05, 1.1, 1.2, 0.3), 0.99, 5),
+    ((1.05, 1.1, 1.2), 0.99, 5),
+    ((1.05, 1.1, 1.2, 1.3), 0.9, 10),
+    ((1.05, 1.1, 1.2, 1.3), 0.95, 5),
+])
+def test_make_design_accepts_its_own_slow_filter(poles, lam, tau_hat):
+    """F(1) = mu_F(1) / (1 - lam)^n_F magnifies mu_F's rounding, so the dc
+    gain check compares mu_F(1) with nu_F(1) on the scale of the
+    coefficients."""
+    plant = RationalTF(Polynomial([0.01]), Polynomial.from_roots(poles), 1.0)
+    d = make_design(plant, demo_controller(), demo_prefilter(),
+                    d_hat=tau_hat, tau_n_min=0, tau_n_max=2, lam=lam)
+    assert d.filter(1.0) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1 + 1e-6, 1 + 1e-8, 1 - 1e-8])
+def test_validate_rejects_a_filter_off_unit_dc_gain(scale):
+    d = demo_design()
+    f = d.filter
+    bad = dataclasses.replace(d, filter=RationalTF(f.num.coeffs * scale, f.den, f.h))
+    with pytest.raises(ValueError, match="dc gain"):
+        bad.validate()
+
+
 def test_prediction_block_is_derived_not_stored():
     d = demo_design()
     assert "predictor_block" not in d.to_dict()
