@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .packet_channel import PacketTrace, Protocol, staleness_automaton, worst_case_trace
+from .packet_channel import PacketTrace, Protocol, staleness_table, worst_case_trace
 
 
 def alpha_formula(protocol, tau_bar: int) -> float:
@@ -130,17 +130,16 @@ def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleRes
     is a dynamic program over packets in send order j = 0..T+2 tau_bar,
     on the receiver automaton: choosing tau_j fixes the staleness s held
     at j, which adds (a_j - a_{j-s})^2, or a_j^2 while nothing is held.
-    The states do not depend on j, so the sweeps walk the table of
-    ``packet_channel.staleness_automaton``, whose transitions are
-    computed once per process: a forward sweep marks the state ids live
-    at each packet, a backward sweep fills one flat list of values-to-go
-    per packet, and a second forward sweep takes at every j the smallest
+    The states do not depend on j, so the sweeps walk the process-wide
+    ``packet_channel.staleness_table`` of the rule and tau_bar: a forward
+    sweep marks the state ids live at each packet, asking the table for
+    each transition it meets (computed once per process, on the first
+    request), a backward sweep fills one flat list of values-to-go per
+    packet, and a second forward sweep takes at every j the smallest
     tau_j that attains it.  The ramp is kept in integers (v_bar = 1) and
     scaled by v_bar^2 at the end, so ties are exact.  Cost: at most
     (2 tau_bar + 2)(tau_bar + 1)! states, each with tau_bar+1 moves, so
-    the work is linear in T.  The first call for a rule and tau_bar also
-    builds the whole automaton, whatever T: for p3-oldest 579 states at
-    tau_bar 4, 3890 at 5 and 30145 at 6 (about 0.4 s).
+    the work is linear in T.
 
     For p3 the oldest selector is also the worst packet choice: with a
     non-decreasing ramp it is pointwise optimal.  The random selector
@@ -162,11 +161,13 @@ def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleRes
     ramp = [min(k + 1, T + 1) for k in range(n)] + [0] * n
     moves = [range(tb + 1)] * (T + 1) + [(t,) for t in worst_case_trace(n, tb).delays[T + 1:]]
 
-    # live[j]: the state ids that packets 0..j-1 can reach
-    _, rows = staleness_automaton(protocol, 0, tb)
+    # forward: live[j] holds the ids of the states packets 0..j-1 reach;
+    # the shared table computes a transition on its first request only
+    table = staleness_table(protocol, 0, tb)
+    rows, move = table.rows, table.move
     live = [{0}]
     for delays in moves:
-        live.append({rows[i][t][1] for i in live[-1] for t in delays})
+        live.append({(rows[i][t] or move(i, t))[1] for i in live[-1] for t in delays})
 
     # backward: values[j][i] is the best energy from packet j on in state i
     values = [[0] * len(rows)]

@@ -16,8 +16,9 @@ The rules live here only.  No rule reads the sample values, so the
 channel is one integer map: ``held_index`` gives the send index held at
 every instant (-1, value 0, before the first packet), and a caller reads
 the samples through it.  ``receive`` steps the same receiver one
-packet at a time, and ``staleness_automaton`` tabulates every state that
-it reaches, once per rule and delay bounds, for searches over delays.
+packet at a time, and ``staleness_table`` keeps one table of its
+transitions per rule and delay bounds, filled as searches over delays
+ask for them; ``staleness_automaton`` is that table completed.
 """
 from __future__ import annotations
 
@@ -215,36 +216,71 @@ def receive(protocol: Protocol, state: tuple, delay: int) -> tuple:
 
 def staleness_automaton(protocol, tau_min: int, tau_max: int) -> tuple:
     """Every ``receive`` state that delays in [tau_min, tau_max] reach, and
-    its transitions, as a table built once per rule and bounds.
+    its transitions: ``staleness_table(...).whole()``.
 
     Returns (states, rows): states[0] is the start (None, (None,) *
-    tau_max), the rest are numbered in breadth-first order, and
-    rows[i][t - tau_min] is (staleness held, next state id) for packet
-    delay t from states[i].  Both are tuples, shared by every caller with
-    the same rule and bounds; a p3 seed plays no part.  p3-random raises
-    ValueError, as ``receive`` does.
+    tau_max), and rows[i][t - tau_min] is (staleness held, next state id)
+    for packet delay t from states[i].  Both are tuples, shared by every
+    caller with the same rule and bounds.
     """
+    return staleness_table(protocol, tau_min, tau_max).whole()
+
+
+def staleness_table(protocol, tau_min: int, tau_max: int) -> "StalenessTable":
+    """The one ``StalenessTable`` of the protocol's selection rule and
+    these bounds in this process; a p3 seed plays no part.  p3-random
+    raises ValueError, as ``receive`` does."""
     protocol = Protocol.coerce(protocol)
     if protocol.rule == "random":
         raise ValueError("random p3 selection has no deterministic transition")
     if not 0 <= tau_min <= tau_max:
         raise ValueError(f"delay bounds must satisfy 0 <= tau_min <= tau_max; "
                          f"got [{tau_min}, {tau_max}]")
-    return _automaton(protocol.rule, tau_min, tau_max)
+    return _table(protocol.rule, tau_min, tau_max)
+
+
+class StalenessTable:
+    """The ``receive`` automaton for delays in [tau_min, tau_max], filled
+    as callers ask for transitions.
+
+    states[0] is the start (None, (None,) * tau_max) and a state takes the
+    next id when a transition first reaches it.  rows[i][t - tau_min] is
+    (staleness held, next state id) for packet delay t from states[i], or
+    None until ``move`` computes it, so a search pays ``receive`` only for
+    the transitions no earlier search of this table asked for.
+    """
+
+    def __init__(self, rule: str, tau_min: int, tau_max: int):
+        self.protocol = Protocol("p3", selector=rule) if rule == "oldest" else Protocol(rule)
+        self.tau_min = tau_min
+        self.width = tau_max - tau_min + 1
+        start = (None, (None,) * tau_max)
+        self.ids, self.states, self.rows = {start: 0}, [start], [[None] * self.width]
+        self._whole = None
+
+    def move(self, i: int, t: int) -> tuple:
+        """rows[i][t - tau_min], computed on its first request."""
+        row = self.rows[i]
+        if row[t - self.tau_min] is None:
+            stale, nxt = receive(self.protocol, self.states[i], t)
+            k = self.ids.setdefault(nxt, len(self.states))
+            if k == len(self.states):
+                self.states.append(nxt)
+                self.rows.append([None] * self.width)
+            row[t - self.tau_min] = (stale, k)
+        return row[t - self.tau_min]
+
+    def whole(self) -> tuple:
+        """(states, rows) over every reachable state, as tuples: the search
+        runs on from the ids already given, and its result is kept."""
+        if self._whole is None:
+            for i, _ in enumerate(self.rows):  # grows as the search meets new states
+                for t in range(self.tau_min, self.tau_min + self.width):
+                    self.move(i, t)
+            self._whole = tuple(self.states), tuple(map(tuple, self.rows))
+        return self._whole
 
 
 @functools.lru_cache(maxsize=None)
-def _automaton(rule: str, tau_min: int, tau_max: int) -> tuple:
-    protocol = Protocol("p3", selector=rule) if rule == "oldest" else Protocol(rule)
-    start = (None, (None,) * tau_max)
-    ids, states, rows = {start: 0}, [start], []
-    for state in states:  # the list grows as the search meets new states
-        row = []
-        for t in range(tau_min, tau_max + 1):
-            stale, nxt = receive(protocol, state, t)
-            k = ids.setdefault(nxt, len(states))
-            if k == len(states):
-                states.append(nxt)
-            row.append((stale, k))
-        rows.append(tuple(row))
-    return tuple(states), tuple(rows)
+def _table(rule: str, tau_min: int, tau_max: int) -> StalenessTable:
+    return StalenessTable(rule, tau_min, tau_max)

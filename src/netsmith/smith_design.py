@@ -30,6 +30,7 @@ from .lti_core import (
 )
 
 F_DC_TOL = 1e-9
+F_DC_RESOLUTION = 1e-5
 INTERP_RESIDUAL_TOL = 1e-6
 STABLE_POLE_MARGIN = 1e-8
 ROOT_CLUSTER_TOL = 1e-6
@@ -111,10 +112,14 @@ class PredictorDesign:
         check_delay_bounds(self.d_hat, self.tau_n_min, self.tau_n_max)
         # F(1) = 1 as mu_F(1) = nu_F(1), each the sum of its coefficients:
         # F(1) itself divides mu_F's rounding by nu_F(1) = (1 - lam)^n_F, so
-        # allow for the rounding of both sums
+        # allow for the rounding of both sums, up to F_DC_RESOLUTION of nu_F(1)
         mu, nu = self.filter.num.coeffs.tolist(), self.filter.den.coeffs.tolist()
+        dc = abs(sum(nu))
         rounding = 8 * (len(mu) + len(nu)) * EPS * sum(map(abs, mu + nu))
-        if abs(sum(mu) - sum(nu)) > F_DC_TOL * abs(sum(nu)) + rounding:
+        if rounding > F_DC_RESOLUTION * dc:
+            raise ValueError("filter dc gain not resolvable in double precision: "
+                             f"coefficient rounding {rounding:.1e} against nu_F(1) = {dc:.1e}")
+        if abs(sum(mu) - sum(nu)) > F_DC_TOL * dc + rounding:
             raise ValueError("filter dc gain differs from 1")
         # residuals before H, whose build_H raises NumericError on a filter
         # that breaks its constraint

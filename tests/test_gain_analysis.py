@@ -189,7 +189,8 @@ def test_ill_posed_amplitude_raises(call, v_bar):
 def test_oracle_computes_each_transition_once(monkeypatch, kind, tau_bar, T):
     """From an empty automaton cache the first oracle call asks the
     receiver each (state, delay) pair at most once; a second call with
-    the same rule and tau_bar asks none."""
+    the same rule and tau_bar asks none, and completing the table the
+    oracle left partial gives the whole automaton."""
     asked = []
     real = pc.receive
 
@@ -198,13 +199,31 @@ def test_oracle_computes_each_transition_once(monkeypatch, kind, tau_bar, T):
         return real(protocol, state, delay)
 
     monkeypatch.setattr(pc, "receive", counting)
-    pc._automaton.cache_clear()
+    pc._table.cache_clear()
     first = oracle_gain(Protocol(kind), tau_bar, T)
     assert asked and len(asked) == len(set(asked))
     asked.clear()
     again = oracle_gain(Protocol(kind, seed=5), tau_bar, T, v_bar=2.0)
     assert not asked
     assert again.trace == first.trace and again.norm_sq == 4 * first.norm_sq
+    states, rows = pc.staleness_automaton(kind, 0, tau_bar)
+    whole = {"p1": {2: 11, 3: 40}, "p2": {2: 15, 3: 73}, "p3": {2: 22, 3: 102}}
+    assert len(states) == whole[kind][tau_bar]
+    assert all(None not in row for row in rows)
+
+
+def test_short_horizon_oracle_fills_only_what_it_reaches(monkeypatch):
+    """A cold oracle call at a large tau_bar and a short horizon computes
+    the transitions it meets, not the whole automaton (30145 states for
+    p3-oldest at tau_bar 6), and leaves the rest of the table empty."""
+    calls = []
+    real = pc.receive
+    monkeypatch.setattr(pc, "receive", lambda *a: calls.append(a) or real(*a))
+    pc._table.cache_clear()
+    oracle_gain("p3", 6, 2)
+    table = pc.staleness_table("p3", 0, 6)
+    filled = sum(entry is not None for row in table.rows for entry in row)
+    assert len(calls) == filled and len(table.states) < 1000
 
 
 def test_p3_ramp_gain_is_not_the_l2_gain():

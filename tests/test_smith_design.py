@@ -227,15 +227,17 @@ def test_validate_rejects_tampered_filter():
     ((1.05, 1.1, 1.2), 0.99, 5),
     ((1.05, 1.1, 1.2, 1.3), 0.9, 10),
     ((1.05, 1.1, 1.2, 1.3), 0.95, 5),
+    ((1.05, 1.1, 1.2, 1.3), 0.95, 10),
 ])
 def test_make_design_accepts_its_own_slow_filter(poles, lam, tau_hat):
     """F(1) = mu_F(1) / (1 - lam)^n_F magnifies mu_F's rounding, so the dc
     gain check compares mu_F(1) with nu_F(1) on the scale of the
-    coefficients."""
+    coefficients; the exact sums of the stored coefficients agree."""
     plant = RationalTF(Polynomial([0.01]), Polynomial.from_roots(poles), 1.0)
     d = make_design(plant, demo_controller(), demo_prefilter(),
                     d_hat=tau_hat, tau_n_min=0, tau_n_max=2, lam=lam)
-    assert d.filter(1.0) == pytest.approx(1.0, abs=1e-8)
+    mu, nu = math.fsum(d.filter.num.coeffs), math.fsum(d.filter.den.coeffs)
+    assert abs(mu - nu) <= 1e-7 * abs(nu)
 
 
 @pytest.mark.parametrize("scale", [1 + 1e-6, 1 + 1e-8, 1 - 1e-8])
@@ -245,6 +247,28 @@ def test_validate_rejects_a_filter_off_unit_dc_gain(scale):
     bad = dataclasses.replace(d, filter=RationalTF(f.num.coeffs * scale, f.den, f.h))
     with pytest.raises(ValueError, match="dc gain"):
         bad.validate()
+
+
+def test_validate_refuses_a_dc_gain_below_double_precision():
+    """Five unstable poles at lam 0.99 and tau_hat 20: the coefficient
+    sums of F round by more than F_DC_RESOLUTION of nu_F(1), so F(1)
+    cannot be checked and validate refuses the filter, design_filter's
+    own (F(1) - 1 = 1.9e-2 as evaluated) or one with mu_F scaled by
+    1.02, instead of accepting it."""
+    plant = RationalTF(Polynomial([0.01]), Polynomial.from_roots((1.05, 1.1, 1.2, 1.3, 1.4)), 1.0)
+    with pytest.raises(ValueError, match="not resolvable"):
+        make_design(plant, demo_controller(), demo_prefilter(),
+                    d_hat=20, tau_n_min=0, tau_n_max=2, lam=0.99)
+    f = design_filter(plant, 20, 0.99)
+    off = RationalTF(f.num.coeffs * 1.02, f.den, f.h)
+    bad = PredictorDesign(plant_nominal=plant, controller=demo_controller(),
+                          prefilter=demo_prefilter(), filter=off, d_hat=20,
+                          tau_n_min=0, tau_n_max=2)
+    with pytest.raises(ValueError, match="dc gain"):
+        bad.validate()
+    at_one = dataclasses.replace(bad, filter=RationalTF(Polynomial([1.0]), Polynomial([1.0, -1.0]), f.h))
+    with pytest.raises(ValueError, match="dc gain"):
+        at_one.validate()
 
 
 def test_prediction_block_is_derived_not_stored():
