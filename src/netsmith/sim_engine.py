@@ -18,9 +18,10 @@ x_C) that lmi_assembly lays out, and differ only in one index array: the
 controller's measurement is y_hat_k = y[held_k], with held_k from the
 channel's ``held_index`` or k - tau_k.  Since no y_hat reads a sample
 younger than d_hat + min_k(k - held_k) steps, the loop advances that many
-steps plus one per matrix product.  All states start at zero.  The
-simulation declares divergence when the measured output magnitude crosses
-DIVERGENCE_LIMIT and stops recording at that step.
+steps plus one per product with a lifted step map, cached per design and
+block length.  All states start at zero.  The simulation declares
+divergence when the measured output magnitude crosses DIVERGENCE_LIMIT;
+one scan after the loop finds that step, where the records end.
 """
 from __future__ import annotations
 
@@ -56,6 +57,9 @@ class SimScenario:
     model: str = "packetized"
 
     def __post_init__(self):
+        for name, seq in (("reference", self.reference), ("disturbance", self.disturbance)):
+            if seq is not None and not np.isfinite(np.asarray(seq, dtype=float)).all():
+                raise ValueError(f"{name} has non-finite values")
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.steps < 1:
@@ -107,9 +111,9 @@ def _lifted(A, cols, out_row, L: int):
     """L steps of z_{i+1} = A z_i + cols u_i from z_0, listing each state
     z_1 .. z_L followed by its output out_row z_i.
 
-    Returns the free response, (L (N+1)) x N in z_0, and the forced
-    response, forced[c, t] the listing for a unit input on column c of
-    cols at step t.
+    Returns the block step, (L (N+1)) x (N + L) in z_0 and the first
+    input column's L values, and the forced response, forced[c, t] the
+    listing for a unit input on column c of cols at step t.
     """
     N = A.shape[0]
     C = np.vstack([np.eye(N), out_row])
@@ -122,7 +126,8 @@ def _lifted(A, cols, out_row, L: int):
     impulse = C @ np.array(powers[:L]) @ cols
     lag = np.subtract.outer(np.arange(L), np.arange(L))
     forced = impulse[lag.clip(0)] * (lag >= 0)[:, :, None, None]
-    return free, forced.transpose(3, 1, 0, 2).reshape(cols.shape[1], L, -1)
+    forced = forced.transpose(3, 1, 0, 2).reshape(cols.shape[1], L, -1)
+    return np.hstack([free, forced[0].T]), forced
 
 
 def _step_data(design: PredictorDesign):
@@ -160,9 +165,13 @@ def simulate(scenario: SimScenario) -> SimTrace:
 
     The loop advances L = d_hat + min_k(k - held_k) + 1 steps at a time:
     every y_hat of a block then reads an output of a state from before
-    the block, so one product with the lifted step map gives the block's
-    states and outputs.  The reference and disturbance responses of all
-    blocks come from one product up front.
+    the block, so one product of the lifted step map with one gathered
+    vector gives the block's states and outputs.  The reference and
+    disturbance responses of all blocks come from one product up front.
+    The first crossing of DIVERGENCE_LIMIT is found after the loop, which
+    is exact since no y_hat reads ahead of its block; the price is that a
+    diverging run computes its whole horizon (80000 steps of the contrast
+    loop, lam 0.85, take about 30 ms on a 2-vCPU host).
     """
     design = scenario.design
     model, sv, A, cols, out_row = design._memoized("sim_engine.step", _step_data)
@@ -182,9 +191,10 @@ def simulate(scenario: SimScenario) -> SimTrace:
     L = min(n, d_hat + 1 + int(np.min(k[read] - held[read], initial=n)))
     blocks = -(-(n - 1) // L)
 
-    free, forced = _lifted(A, cols, out_row, L)
-    step = np.hstack([free, forced[0].T])
+    step, forced = design._memoized(f"sim_engine.lifted.{L}",
+                                    lambda d: _lifted(A, cols, out_row, L))
     N = nxi + nv
+    width, first = L * (N + 1), (d_hat + 1) * (N + 1)
 
     # hist[d_hat + i] = (z_i, out_row z_i), so hist[k, N] is y_k; the
     # d_hat leading zero rows are the zero history the first measurements
@@ -193,26 +203,20 @@ def simulate(scenario: SimScenario) -> SimTrace:
     rw = np.hstack([_padded(r, blocks * L).reshape(blocks, L),
                     _padded(w, blocks * L).reshape(blocks, L)])
     np.matmul(rw, forced[1:].reshape(2 * L, -1),
-              out=hist[d_hat + 1:d_hat + 1 + blocks * L].reshape(blocks, L * (N + 1)))
-    reads = np.append(held, np.full(L, -1))[:blocks * L].reshape(blocks, L)
+              out=hist[d_hat + 1:d_hat + 1 + blocks * L].reshape(blocks, width))
+    # block b writes flat[first + b width:][:width] from gather[b], the
+    # flat positions of its state row and of the L outputs its y_hat reads
+    reads = np.append(held, np.full(L, -1))[:blocks * L].reshape(blocks, L) % len(hist)
+    gather = np.hstack([first - N - 1 + width * np.arange(blocks)[:, None] + np.arange(N),
+                        reads * (N + 1) + N])
     flat = hist.reshape(-1)
     y = hist[:, N]
-    v = np.empty(N + L)
-    last = n
-    diverged = False
-    for b in range(blocks):
-        a = d_hat + b * L
-        if b * L >= last - 1:
-            break
-        v[:N] = hist[a, :N]
-        v[N:] = y[reads[b]]
-        flat[(a + 1) * (N + 1):(a + 1 + L) * (N + 1)] += step @ v
-        if not diverged and abs(y[a + 1:a + 1 + L]).max() > DIVERGENCE_LIMIT:
-            crossed = np.flatnonzero(np.abs(y[:min(n, a + 1 + L)]) > DIVERGENCE_LIMIT)
-            if crossed.size:
-                # keep stepping until the state of the crossing step exists
-                diverged = True
-                last = int(crossed[0]) + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, start in enumerate(range(first, first + blocks * width, width)):
+            flat[start:start + width] += step @ flat[gather[b]]
+    crossed = np.flatnonzero(np.abs(y[:n]) > DIVERGENCE_LIMIT)
+    diverged = crossed.size > 0
+    last = int(crossed[0]) + 1 if diverged else n
 
     held = held[:last]
     if packetized:

@@ -273,6 +273,15 @@ def test_simulate_rejects_empty_horizon(design_file, steps, delays, capsys):
     assert "horizon must be at least 1 step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
+def test_simulate_rejects_non_finite_amplitude(design_file, amplitude, capsys):
+    assert main(["simulate", design_file, "--protocol", "p1", "--delays", "pattern",
+                 "--steps", "3", f"--amplitude={amplitude}"]) == 2
+    captured = capsys.readouterr()
+    assert "reference has non-finite values" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_reads_selector_for_p3_only(design_file, capsys):
     base = ["simulate", design_file, "--protocol", "p1", "--delays", "pattern",
             "--steps", "20"]

@@ -1,5 +1,7 @@
 """Closed-loop simulation: packetized loop and sample-delay abstraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,28 +220,38 @@ def test_lifted_loop_edges(d_hat, tau_n_min, tau_n_max):
 
 def test_divergence_cut_off_at_every_block_offset():
     """The first crossing of DIVERGENCE_LIMIT lands on each row of a block
-    in turn, and is cut off at the same step as in the reference loop."""
+    in turn, and is cut off at the same step as in the reference loop.
+
+    simulate computes the whole horizon before it looks for the crossing,
+    so the long horizon overflows far past it; that must neither warn
+    nor change the records.
+    """
     design = demo_design(lam=0.85, tau_n_max=4)
-    trace = worst_case_trace(1300, 4)
+    for steps in (1300, 80000):
+        trace = worst_case_trace(steps, 4)
 
-    def scenario(amplitude):
-        return SimScenario(design=design, protocol=Protocol("p3"), trace=trace,
-                           reference=np.full(1300, amplitude), steps=1300)
+        def scenario(amplitude):
+            return SimScenario(design=design, protocol=Protocol("p3"), trace=trace,
+                               reference=np.full(steps, amplitude), steps=steps)
 
-    # the loop is linear from rest, so scaling the reference moves the
-    # crossing to any step where |y| sets a new record
-    peak = np.abs(_reference_packetized(scenario(1.0)).y)
-    before = np.maximum.accumulate(np.append(0.0, peak[:-1]))
-    L = design.d_hat + 1 + _least_staleness(scenario(1.0))
-    first = {}
-    for k in np.flatnonzero((before > 0) & (peak > 1.01 * before)):
-        # block rows run d_hat + bL + 1 .. d_hat + bL + L
-        first.setdefault((k - design.d_hat - 1) % L, k)
-    assert sorted(first) == list(range(L))
-    for offset, k in sorted(first.items()):
-        amplitude = DIVERGENCE_LIMIT / np.sqrt(peak[k] * before[k])
-        want = _assert_matches_reference(scenario(amplitude), offset)
-        assert want.divergence_step == k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = _assert_matches_reference(scenario(1.0), steps)
+            assert unit.divergence_step == 1116
+            # the loop is linear from rest, so scaling the reference moves
+            # the crossing to any step where |y| sets a new record
+            peak = np.abs(unit.y)
+            before = np.maximum.accumulate(np.append(0.0, peak[:-1]))
+            L = design.d_hat + 1 + _least_staleness(scenario(1.0))
+            first = {}
+            for k in np.flatnonzero((before > 0) & (peak > 1.01 * before)):
+                # block rows run d_hat + bL + 1 .. d_hat + bL + L
+                first.setdefault((k - design.d_hat - 1) % L, k)
+            assert sorted(first) == list(range(L))
+            for offset, k in sorted(first.items()):
+                amplitude = DIVERGENCE_LIMIT / np.sqrt(peak[k] * before[k])
+                want = _assert_matches_reference(scenario(amplitude), (steps, offset))
+                assert want.divergence_step == k
 
 
 @pytest.mark.parametrize("model", ["packetized", "sample_delay"])
@@ -325,6 +337,11 @@ def test_scenario_validation():
     wide = PacketTrace((3,) * 10, 0, 3)
     with pytest.raises(ValueError, match="bounds"):
         SimScenario(d, Protocol("p1"), wide, r, 10)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="reference has non-finite"):
+            SimScenario(d, Protocol("p1"), tr, np.append(r[:-1], bad), 10)
+        with pytest.raises(ValueError, match="disturbance has non-finite"):
+            SimScenario(d, Protocol("p1"), tr, r, 10, disturbance=[0.0, bad])
 
 
 def test_disturbance_rejection_settles():
@@ -400,6 +417,25 @@ def test_simulate_realizes_each_transfer_function_once_per_design(monkeypatch):
     for arr in (model.A_tilde, model.A_d_tilde):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0.0
+
+
+def test_lifted_step_built_once_per_design_and_block_length(monkeypatch):
+    """Traces of least staleness 0, 1 and 2 give three block lengths; run
+    in alternating order on one design, each length is lifted once, and
+    every record equals the one of a fresh copy of the design."""
+    d = demo_design()
+    runs = [(_constant_trace(c, 150, 0, 2), model)
+            for c in (0, 2, 1) for model in ("packetized", "sample_delay")]
+    runs += [(worst_case_trace(150, 2), "packetized")] + runs
+    want = [_run(PredictorDesign.from_dict(d.to_dict()), "p2", trace, 150,
+                 model=model).to_csv() for trace, model in runs]
+    lifted = []
+    _lifted = se._lifted
+    monkeypatch.setattr(se, "_lifted", lambda *args: lifted.append(args[-1])
+                        or _lifted(*args))
+    got = [_run(d, "p2", trace, 150, model=model).to_csv() for trace, model in runs]
+    assert got == want
+    assert lifted == [d.d_hat + 1, d.d_hat + 3, d.d_hat + 2]
 
 
 def test_prediction_block_built_once_per_design(monkeypatch):
