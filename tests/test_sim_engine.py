@@ -222,9 +222,8 @@ def test_divergence_cut_off_at_every_block_offset():
     """The first crossing of DIVERGENCE_LIMIT lands on each row of a block
     in turn, and is cut off at the same step as in the reference loop.
 
-    simulate computes the whole horizon before it looks for the crossing,
-    so the long horizon overflows far past it; that must neither warn
-    nor change the records.
+    A horizon far past the crossing must neither warn nor change the
+    records.
     """
     design = demo_design(lam=0.85, tau_n_max=4)
     for steps in (1300, 80000):
@@ -252,6 +251,34 @@ def test_divergence_cut_off_at_every_block_offset():
                 amplitude = DIVERGENCE_LIMIT / np.sqrt(peak[k] * before[k])
                 want = _assert_matches_reference(scenario(amplitude), (steps, offset))
                 assert want.divergence_step == k
+
+
+def test_diverging_run_stops_near_its_crossing(monkeypatch):
+    """A diverging run makes at most about twice the block products up to
+    its crossing, whatever its horizon."""
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ other
+
+    lifted = se._lifted
+
+    def counted(*args):
+        step, forced = lifted(*args)
+        return step.view(Counted), forced
+
+    monkeypatch.setattr(se, "_lifted", counted)
+    design = demo_design(lam=0.85, tau_n_max=4)
+    for steps in (1300, 80000):
+        scenario = SimScenario(design=design, protocol=Protocol("p3"),
+                               trace=worst_case_trace(steps, 4),
+                               reference=np.ones(steps), steps=steps)
+        products.clear()
+        assert simulate(scenario).divergence_step == 1116
+        L = design.d_hat + 1 + _least_staleness(scenario)
+        assert 1116 // L <= len(products) <= 2 * (1116 // L + 1)
 
 
 @pytest.mark.parametrize("model", ["packetized", "sample_delay"])
