@@ -107,7 +107,11 @@ def alpha_T_closed_form(tau_bar: int, T: int, v_bar: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of the worst-case search: the gain and a maximizing trace."""
+    """Outcome of the worst-case search: the gain and a maximizing trace.
+
+    ``evaluations`` is the number of head assignments the maximum ranges
+    over, (tau_bar+1)**(T+1), not the work done.
+    """
     protocol: Protocol
     tau_bar: int
     T: int
@@ -115,7 +119,10 @@ class OracleResult:
     alpha_T: float
     norm_sq: float
     trace: PacketTrace
-    evaluations: int
+
+    @property
+    def evaluations(self) -> int:
+        return (self.tau_bar + 1) ** (self.T + 1)
 
 
 def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleResult:
@@ -146,8 +153,6 @@ def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleRes
     has no deterministic transition and raises ValueError.
 
     Ties resolve to the lexicographically smallest head delay tuple.
-    ``evaluations`` is the number of head assignments the maximum ranges
-    over, not the work done.
     """
     protocol = Protocol.coerce(protocol)
     if tau_bar < 0:
@@ -198,7 +203,7 @@ def oracle_gain(protocol, tau_bar: int, T: int, v_bar: float = 1.0) -> OracleRes
     best = values[0][0]
     trace = PacketTrace(tuple(head), 0, tb)
     return OracleResult(protocol, tb, T, v_bar, math.sqrt(best / (T + 1)),
-                        best * v_bar**2, trace, (tb + 1) ** (T + 1))
+                        best * v_bar**2, trace)
 
 
 def alpha_asymptote_check(tau_bar: int, T_max: int, v_bar: float = 1.0) -> list:

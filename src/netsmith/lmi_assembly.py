@@ -21,6 +21,7 @@ builds, serializes (``problem_document``) and verifies, but does not solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import json
 
 import numpy as np
@@ -48,13 +49,12 @@ class AugmentedModel:
     readouts are y_H = rows[1] xi, y_F = rows[2] xi + d_F y_hat and
     u = rows[3] xi + d_C (r_V - y_F - y_H).  Closing the loop by the
     sample delay y_hat_k = output_row xi_{k - d_hat - tau_k} gives the
-    delayed-state matrix A_d_tilde = g (x) output_row, which acts on the
-    plant block only.  input_reference injects the prefiltered reference
-    r_V into the tracking error, input_disturbance adds a plant-input
-    disturbance w.
+    delayed-state matrix A_d_tilde = g (x) output_row, derived on first
+    read and read-only.  input_reference injects the prefiltered
+    reference r_V into the tracking error, input_disturbance adds a
+    plant-input disturbance w.
     """
     A_tilde: np.ndarray
-    A_d_tilde: np.ndarray
     g: np.ndarray
     input_reference: np.ndarray
     input_disturbance: np.ndarray
@@ -69,10 +69,6 @@ class AugmentedModel:
     def __post_init__(self):
         if self.n_xi != sum(self.block_orders):
             raise ValueError("n_xi must equal the sum of the block orders")
-        n = self.block_orders[0]
-        tail = self.A_d_tilde[:, n:]
-        if tail.size and np.any(tail != 0.0):
-            raise ValueError("delayed-state matrix must only act on the plant block")
 
     @property
     def n_xi(self) -> int:
@@ -81,6 +77,16 @@ class AugmentedModel:
     @property
     def output_row(self) -> np.ndarray:
         return self.rows[0]
+
+    @cached_property
+    def A_d_tilde(self) -> np.ndarray:
+        """g (x) output_row, written on the plant columns only so that the
+        other columns hold +0.0 (np.outer would write -0.0 where g < 0)."""
+        n = self.block_orders[0]
+        Ad = np.zeros((self.n_xi, self.n_xi))
+        Ad[:, :n] = np.outer(self.g, self.output_row[:n])
+        Ad.flags.writeable = False
+        return Ad
 
 
 def _strictly_proper(ss: StateSpace, what: str) -> StateSpace:
@@ -140,11 +146,9 @@ def _build_augmented(design: PredictorDesign) -> AugmentedModel:
     rows = np.zeros((4, nxi))
     for i, ss in enumerate((sp, sh, sf, sc)):
         rows[i, s[i]] = ss.c
-    Ad = np.zeros((nxi, nxi))
-    Ad[:, :n] = np.outer(g, rows[0, :n])
-    for arr in (A, Ad, g, b_ref, b_dist, rows):
+    for arr in (A, g, b_ref, b_dist, rows):
         arr.flags.writeable = False
-    return AugmentedModel(A_tilde=A, A_d_tilde=Ad, g=g, input_reference=b_ref,
+    return AugmentedModel(A_tilde=A, g=g, input_reference=b_ref,
                           input_disturbance=b_dist, rows=rows, d_F=sf.d, d_C=sc.d,
                           d_hat=design.d_hat, tau_n_min=design.tau_n_min,
                           tau_n_max=design.tau_n_max, block_orders=(n, nh, nf, nc))
@@ -155,10 +159,11 @@ class LmiProblem:
     """Assembled LMI data: constant blocks plus named symmetric unknowns.
 
     variable_count follows the published closed-form size formula for the
-    variant; free_parameter_count is the generic count sum over unknowns
-    of m(m+1)/2.  For the lifted variant the two agree; for the compact
-    variant the quoted formula n_xi^3 + 2 n_xi^2 + n_xi counts solver
-    variables differently and both numbers are reported.
+    variant; free_parameter_count, derived from ``unknowns``, is the
+    generic count sum over unknowns of m(m+1)/2.  For the lifted variant
+    the two agree; for the compact variant the quoted formula n_xi^3 +
+    2 n_xi^2 + n_xi counts solver variables differently and both numbers
+    are reported.
     """
     variant: str
     gamma: float
@@ -167,11 +172,10 @@ class LmiProblem:
     blocks: dict
     side: int
     variable_count: int
-    free_parameter_count: int
 
-
-def _generic_count(unknowns: dict) -> int:
-    return sum(m * (m + 1) // 2 for m in unknowns.values())
+    @property
+    def free_parameter_count(self) -> int:
+        return sum(m * (m + 1) // 2 for m in self.unknowns.values())
 
 
 def lifted_variable_count(n_xi: int, d_hat: int, tau_n_max: int) -> int:
@@ -242,8 +246,7 @@ def build_lmi(model: AugmentedModel, variant: str, gamma: float) -> LmiProblem:
 
     return LmiProblem(variant=variant, gamma=gamma, model=model,
                       unknowns=unknowns, blocks=blocks, side=side,
-                      variable_count=count,
-                      free_parameter_count=_generic_count(unknowns))
+                      variable_count=count)
 
 
 def assemble_matrix(problem: LmiProblem, candidates: dict) -> np.ndarray:

@@ -147,15 +147,6 @@ class RationalTF:
     def constant(cls, gain: float, h: float = 1.0) -> "RationalTF":
         return cls([float(gain)], [1.0], h)
 
-    @classmethod
-    def delay(cls, samples: int, h: float = 1.0) -> "RationalTF":
-        """Pure delay z**(-samples)."""
-        if samples < 0:
-            raise ValueError("delay must be a non-negative sample count")
-        den = np.zeros(samples + 1)
-        den[0] = 1.0
-        return cls([1.0], den, h)
-
     @property
     def is_proper(self) -> bool:
         return self.num.degree <= self.den.degree or self.num.is_zero
@@ -343,19 +334,6 @@ class StateSpace:
     @property
     def order(self) -> int:
         return self.b.size
-
-    def output(self, x: np.ndarray, u: float) -> float:
-        if self.order == 0:
-            return self.d * u
-        return float(self.c @ x + self.d * u)
-
-    def advance(self, x: np.ndarray, u: float) -> np.ndarray:
-        if self.order == 0:
-            return x
-        return self.A @ x + self.b * u
-
-    def zero_state(self) -> np.ndarray:
-        return np.zeros(self.order)
 
 
 def realize(g: RationalTF) -> StateSpace:

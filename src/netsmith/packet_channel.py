@@ -83,9 +83,6 @@ class PacketTrace:
     def __len__(self) -> int:
         return len(self.delays)
 
-    def arrival(self, j: int) -> int:
-        return j + self.delays[j]
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("j,tau\n")

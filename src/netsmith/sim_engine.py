@@ -76,7 +76,12 @@ class SimScenario:
 
 @dataclass
 class SimTrace:
-    """Per-step closed-loop records, truncated at divergence."""
+    """Per-step closed-loop records, truncated at divergence.
+
+    divergence_step is the step whose measured output crossed
+    DIVERGENCE_LIMIT, the last one recorded, or None; ``diverged`` says
+    whether there is one.
+    """
     k: np.ndarray
     r: np.ndarray
     u: np.ndarray
@@ -85,8 +90,11 @@ class SimTrace:
     y_F: np.ndarray
     y_H: np.ndarray
     selected_index: np.ndarray
-    diverged: bool = False
     divergence_step: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_step is not None
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -214,7 +222,7 @@ def simulate(scenario: SimScenario) -> SimTrace:
     y = hist[:, N]
     # look for a crossing after blocks 1, 3, 7, ...; once one is found,
     # step on only until the state of the crossing step exists
-    done, last, diverged = 0, n, False
+    done, last, crossing = 0, n, None
     while done * L < last - 1:
         upto = min(2 * done + 1, -(-(last - 1) // L))
         starts = range(first + done * width, first + upto * width, width)
@@ -223,7 +231,8 @@ def simulate(scenario: SimScenario) -> SimTrace:
         done = upto
         crossed = np.flatnonzero(np.abs(y[:min(last, d_hat + 1 + done * L)]) > DIVERGENCE_LIMIT)
         if crossed.size:
-            diverged, last = True, int(crossed[0]) + 1
+            crossing = int(crossed[0])
+            last = crossing + 1
 
     held = held[:last]
     if packetized:
@@ -239,8 +248,7 @@ def simulate(scenario: SimScenario) -> SimTrace:
         sel = np.full(last, -1)
     return SimTrace(k=k[:last], r=r[:last], u=u, y=y[:last].copy(),
                     y_hat=y_hat, y_F=y_F, y_H=y_H, selected_index=sel,
-                    diverged=diverged,
-                    divergence_step=last - 1 if diverged else None)
+                    divergence_step=crossing)
 
 
 def simulate_sample_delay(model: AugmentedModel, delay_sequence, steps: int,

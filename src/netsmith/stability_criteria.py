@@ -15,7 +15,8 @@ Each test splits into a design factor and a channel factor, ||M||_inf
 times alpha(protocol, tau_bar).  The design factors (T, M, ||M|| and the
 loop gains) depend on the design alone, so they are computed once per
 design and kept in its memo; only the channel gain is evaluated per
-protocol and tau_bar.
+protocol and tau_bar.  The checks and the scan of max_certified_tau make
+the decision in one place, so they cannot disagree.
 """
 from __future__ import annotations
 
@@ -132,36 +133,42 @@ class StabilityVerdict:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+def _binding(design: PredictorDesign, protocol: Protocol, tau_bar: int,
+             alpha_A: float | None = None):
+    """(binding, lhs, component_gains) of the certificate at tau_bar.
+
+    alpha_A None selects the nominal test ||M|| * alpha < 1, a number
+    selects the four strict inequalities of the uncertain test.  lhs is the left side
+    of the binding inequality (the violated one when not certified), so
+    the loop is certified exactly when lhs < 1.  A plain tuple, since the
+    scan of max_certified_tau probes it many times per design.
+    """
+    alpha = alpha_formula(protocol, tau_bar)
+    if alpha_A is None:
+        norm_M = _norm_M(design)
+        return "norm_M*alpha < 1", norm_M * alpha, {"norm_M": norm_M, "alpha": alpha}
+    a11, a12, a21, a22 = nominal_loop_gains(design)
+    c1, c2 = alpha * a21, alpha_A * a12
+    cross = alpha_A * alpha * a11 * a22
+    conds = [("alpha_B*alpha21 < 1", c1), ("alpha_A*alpha12 < 1", c2)]
+    # a condition whose denominator is not positive is left out: its gate
+    # inequality is >= 1 and in the list, so the largest lhs still decides
+    if c1 < 1.0:
+        conds.append(("alpha_A*alpha12 + alpha_A*alpha_B*alpha11*alpha22/(1-alpha_B*alpha21) < 1",
+                      c2 + cross / (1.0 - c1)))
+    if c2 < 1.0:
+        conds.append(("alpha_B*alpha21 + alpha_A*alpha_B*alpha11*alpha22/(1-alpha_A*alpha12) < 1",
+                      c1 + cross / (1.0 - c2)))
+    binding, lhs = max(conds, key=lambda item: item[1])
+    return binding, lhs, {"alpha_A": alpha_A, "alpha_B": alpha, "alpha11": a11,
+                          "alpha12": a12, "alpha21": a21, "alpha22": a22}
+
+
 def check_nominal(design: PredictorDesign, protocol) -> StabilityVerdict:
     """Certify the exact-model packetized loop: ||M|| * alpha < 1."""
     protocol = Protocol.coerce(protocol)
-    norm_M = _norm_M(design)
-    alpha = alpha_formula(protocol, design.tau_bar)
-    lhs = norm_M * alpha
-    return StabilityVerdict(
-        criterion="nominal",
-        protocol=protocol,
-        tau_bar=design.tau_bar,
-        margin=1.0 - lhs,
-        component_gains={"norm_M": norm_M, "alpha": alpha},
-        binding="norm_M*alpha < 1",
-    )
-
-
-def _uncertain_conditions(alpha_A: float, alpha_B: float, gains):
-    """The four strict inequalities as (label, lhs) pairs; a None lhs
-    marks a condition whose denominator is not positive."""
-    a11, a12, a21, a22 = gains
-    c1 = ("alpha_B*alpha21 < 1", alpha_B * a21)
-    c2 = ("alpha_A*alpha12 < 1", alpha_A * a12)
-    cross = alpha_A * alpha_B * a11 * a22
-    c3_lhs = (alpha_A * a12 + cross / (1.0 - alpha_B * a21)
-              if c1[1] < 1.0 else None)
-    c4_lhs = (alpha_B * a21 + cross / (1.0 - alpha_A * a12)
-              if c2[1] < 1.0 else None)
-    c3 = ("alpha_A*alpha12 + alpha_A*alpha_B*alpha11*alpha22/(1-alpha_B*alpha21) < 1", c3_lhs)
-    c4 = ("alpha_B*alpha21 + alpha_A*alpha_B*alpha11*alpha22/(1-alpha_A*alpha12) < 1", c4_lhs)
-    return [c1, c2, c3, c4]
+    binding, lhs, gains = _binding(design, protocol, design.tau_bar)
+    return StabilityVerdict("nominal", protocol, design.tau_bar, 1.0 - lhs, gains, binding)
 
 
 def _check_alpha_A(alpha_A: float) -> None:
@@ -180,26 +187,8 @@ def check_uncertain(design: PredictorDesign, protocol,
     """
     _check_alpha_A(alpha_A)
     protocol = Protocol.coerce(protocol)
-    gains = nominal_loop_gains(design)
-    alpha_B = alpha_formula(protocol, design.tau_bar)
-    conds = _uncertain_conditions(alpha_A, alpha_B, gains)
-
-    # A None lhs means its gate inequality is >= 1, which is itself in the
-    # list, so the largest evaluable lhs always decides the verdict.
-    binding, worst = max(
-        ((label, lhs) for label, lhs in conds if lhs is not None),
-        key=lambda item: item[1])
-    a11, a12, a21, a22 = gains
-    return StabilityVerdict(
-        criterion="uncertain",
-        protocol=protocol,
-        tau_bar=design.tau_bar,
-        margin=1.0 - worst,
-        component_gains={"alpha_A": alpha_A, "alpha_B": alpha_B,
-                         "alpha11": a11, "alpha12": a12,
-                         "alpha21": a21, "alpha22": a22},
-        binding=binding,
-    )
+    binding, lhs, gains = _binding(design, protocol, design.tau_bar, alpha_A)
+    return StabilityVerdict("uncertain", protocol, design.tau_bar, 1.0 - lhs, gains, binding)
 
 
 def max_certified_tau(design: PredictorDesign, protocol,
@@ -208,23 +197,19 @@ def max_certified_tau(design: PredictorDesign, protocol,
 
     The channel gain is non-decreasing in tau_bar for every protocol, so
     the certified tau_bar form an interval from 0: doubling brackets its
-    end and bisection finds it.  Returns -1 when even tau_bar = 0 fails
-    (possible only with alpha_A > 0).  Raises ValueError when ||M|| = 0,
-    since then every tau_bar is certified.
+    end and bisection finds it.  Each probe is the test of check_nominal
+    (alpha_A = 0) or check_uncertain.  Returns -1 when even tau_bar = 0
+    fails (possible only with alpha_A > 0).  Raises ValueError when
+    ||M|| = 0, since then every tau_bar is certified.
     """
     _check_alpha_A(alpha_A)
     protocol = Protocol.coerce(protocol)
-    gains = nominal_loop_gains(design) if alpha_A > 0 else None
-    norm_M = _norm_M(design)
-    if norm_M == 0.0:
+    if _norm_M(design) == 0.0:
         raise ValueError("||M|| is 0, so every tau_bar is certified")
+    test = alpha_A if alpha_A > 0 else None
 
     def certified(tb: int) -> bool:
-        alpha_B = alpha_formula(protocol, tb)
-        if alpha_A > 0:
-            conds = _uncertain_conditions(alpha_A, alpha_B, gains)
-            return all(lhs is not None and lhs < 1.0 for _, lhs in conds)
-        return norm_M * alpha_B < 1.0
+        return _binding(design, protocol, tb, test)[1] < 1.0
 
     if not certified(0):
         return -1

@@ -16,11 +16,11 @@ def prefiltered(design, reference):
     """The reference after the design's prefilter V, stepped from rest:
     the r_V that simulate_sample_delay expects."""
     V = realize(design.prefilter)
-    x = V.zero_state()
+    x = np.zeros(V.order)
     out = np.empty(len(reference))
     for k, r in enumerate(reference):
-        out[k] = V.output(x, r)
-        x = V.advance(x, r)
+        out[k] = V.c @ x + V.d * r
+        x = V.A @ x + V.b * r
     return out
 
 

@@ -1,10 +1,11 @@
 """Import hygiene of the package and its tests, checked on the syntax tree.
 
-No linter is a dependency, so three of its rules are kept here with the
+No linter is a dependency, so four of its rules are kept here with the
 standard library's ``ast``: every imported name is used, no netsmith
-module reaches into another one's private (underscore) names, and the
+module reaches into another one's private (underscore) names, the
 package imports at module level only, so a module's dependencies are
-all in its header.
+all in its header, and every name in the package's ``__all__`` is bound
+in its ``__init__`` and listed once.
 """
 
 import ast
@@ -28,15 +29,20 @@ def _imports(tree):
                     yield alias.asname or alias.name, alias.name, node
 
 
-def _used_names(tree) -> set:
-    """Names read anywhere or listed in __all__."""
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _exported(tree) -> list:
+    """The names listed in __all__, in order."""
+    names = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
                 and isinstance(node.value, (ast.List, ast.Tuple))):
-            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
-    return used
+            names += [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return names
+
+
+def _used_names(tree) -> set:
+    """Names read anywhere or listed in __all__."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_exported(tree))
 
 
 def _parse(path: Path):
@@ -72,3 +78,16 @@ def test_package_imports_at_module_level_only():
         nested += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
     assert not nested, "imports below module level:\n" + "\n".join(nested)
+
+
+def test_every_export_is_bound_once():
+    tree = _parse(PACKAGE / "__init__.py")
+    exported = _exported(tree)
+    bound = {b for b, _, _ in _imports(tree)} | {
+        t.id for node in tree.body if isinstance(node, ast.Assign)
+        for t in node.targets if isinstance(t, ast.Name)}
+    assert exported, "__init__.py has no __all__"
+    stale = [name for name in exported if name not in bound]
+    twice = sorted({name for name in exported if exported.count(name) > 1})
+    assert not stale, f"__all__ names nothing binds: {stale}"
+    assert not twice, f"__all__ lists names more than once: {twice}"

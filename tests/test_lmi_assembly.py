@@ -278,16 +278,21 @@ def test_rejects_plant_with_direct_term():
         assemble_augmented(d)
 
 
-def test_model_validation_catches_wide_coupling(model):
-    bad_Ad = np.array(model.A_d_tilde)
-    bad_Ad[0, 3] = 1.0
+def test_delayed_state_matrix_is_derived(model):
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(AugmentedModel)}
+    assert "A_d_tilde" not in fields
+    with pytest.raises(TypeError):
+        AugmentedModel(**fields, A_d_tilde=model.A_d_tilde)
+    n = model.block_orders[0]
+    Ad = AugmentedModel(**fields).A_d_tilde
+    assert np.array_equal(Ad[:, :n], np.outer(model.g, model.output_row)[:, :n])
+    # +0.0 off the plant columns, where np.outer(g, output_row) writes -0.0
+    assert np.any(np.signbit(np.outer(model.g, model.output_row)[:, n:]))
+    assert not np.any(Ad[:, n:]) and not np.any(np.signbit(Ad[:, n:]))
     with pytest.raises(ValueError):
-        AugmentedModel(A_tilde=model.A_tilde, A_d_tilde=bad_Ad, g=model.g,
-                       input_reference=model.input_reference,
-                       input_disturbance=model.input_disturbance,
-                       rows=model.rows, d_F=model.d_F, d_C=model.d_C,
-                       d_hat=model.d_hat, tau_n_min=model.tau_n_min,
-                       tau_n_max=model.tau_n_max, block_orders=model.block_orders)
+        Ad[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.A_d_tilde = Ad
 
 
 def test_tau_override_changes_lifted_size_only(model):

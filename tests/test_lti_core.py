@@ -102,7 +102,7 @@ def test_polynomial_divmod_is_long_division(u, v):
 def test_tf_evaluation_and_delay():
     g = RationalTF([1.0], [1.0, -0.5], 1.0)
     assert g(1.0) == pytest.approx(2.0)
-    gd = g * RationalTF.delay(3, g.h)
+    gd = g * RationalTF([1.0], [1.0, 0.0, 0.0, 0.0], g.h)
     z = np.exp(0.7j)
     assert gd(z) == pytest.approx(g(z) * z ** -3)
 
@@ -192,12 +192,12 @@ def test_realize_round_trip():
 def test_state_space_impulse_matches_long_division():
     g = RationalTF([1.0], [1.0, -0.5], 1.0)
     ss = realize(g)
-    x = ss.zero_state()
+    x = np.zeros(ss.order)
     seq = []
     u = 1.0
     for _ in range(6):
-        seq.append(ss.output(x, u))
-        x = ss.advance(x, u)
+        seq.append(ss.c @ x + ss.d * u)
+        x = ss.A @ x + ss.b * u
         u = 0.0
     # impulse response of 1/(z-0.5): 0, 1, 0.5, 0.25, ...
     assert np.allclose(seq, [0.0, 1.0, 0.5, 0.25, 0.125, 0.0625], atol=1e-12)

@@ -29,8 +29,10 @@ def test_worst_case_trace_pattern():
 
 
 def test_arrival_times():
+    # packet j arrives at j + tau_j: 0 at 2, 1 at 1, 2 at 3, and p2 picks
+    # each one at its arrival instant
     tr = PacketTrace((2, 0, 1), 0, 2)
-    assert [tr.arrival(j) for j in range(3)] == [2, 1, 3]
+    assert list(held_index(tr, Protocol("p2"), 4)) == [-1, 1, 0, 2]
 
 
 def test_trace_csv_round_trip():
@@ -161,7 +163,7 @@ def test_p1_used_indices_increase(delays):
     seen = []
     for p in range(len(delays) + 3):
         if p < len(values):
-            state.send(p, tr.arrival(p))
+            state.send(p, p + tr.delays[p])
         channel_step(state, proto, p, values)
         if state.selected_index >= 0:
             seen.append(state.selected_index)
@@ -207,7 +209,7 @@ def _reference_held(trace, protocol, horizon, values=None):
     held, out = [], []
     for p in range(horizon):
         if p < len(trace):
-            state.send(p, trace.arrival(p))
+            state.send(p, p + trace.delays[p])
         out.append(channel_step(state, protocol, p, samples))
         held.append(state.last_index)
     return np.array(held), np.array(out)

@@ -63,27 +63,26 @@ def _reference_packetized(scenario):
     w = np.zeros(n)
     if scenario.disturbance is not None:
         w[:len(scenario.disturbance)] = scenario.disturbance[:n]
-    x_p, x_h, x_f, x_c, x_v = (s.zero_state() for s in (sp, sh, sf, sc, sv))
+    x_p, x_h, x_f, x_c, x_v = (np.zeros(s.order) for s in (sp, sh, sf, sc, sv))
     ybuf = [0.0] * design.d_hat
     state = ChannelState()
     sent = []
 
     rec = {name: np.zeros(n) for name in ("r", "u", "y", "y_hat", "y_F", "y_H")}
     sel = np.zeros(n, dtype=int)
-    diverged = False
     div_step = None
     last = n
     for k in range(n):
-        y_raw = sp.output(x_p, 0.0)
+        y_raw = sp.c @ x_p
         y_k = ybuf[0] if design.d_hat else y_raw
         sent.append(y_k)
-        state.send(k, scenario.trace.arrival(k))
+        state.send(k, k + scenario.trace.delays[k])
         y_hat = channel_step(state, scenario.protocol, k, sent)
-        y_f = sf.output(x_f, y_hat)
-        y_h = sh.output(x_h, 0.0)
-        r_v = sv.output(x_v, r[k])
+        y_f = sf.c @ x_f + sf.d * y_hat
+        y_h = sh.c @ x_h
+        r_v = sv.c @ x_v + sv.d * r[k]
         e = r_v - y_f - y_h
-        u = sc.output(x_c, e)
+        u = sc.c @ x_c + sc.d * e
 
         rec["r"][k] = r[k]
         rec["u"][k] = u
@@ -93,16 +92,15 @@ def _reference_packetized(scenario):
         rec["y_H"][k] = y_h
         sel[k] = state.selected_index
         if abs(y_k) > DIVERGENCE_LIMIT:
-            diverged = True
             div_step = k
             last = k + 1
             break
 
-        x_p = sp.advance(x_p, u + w[k])
-        x_h = sh.advance(x_h, u)
-        x_f = sf.advance(x_f, y_hat)
-        x_c = sc.advance(x_c, e)
-        x_v = sv.advance(x_v, r[k])
+        x_p = sp.A @ x_p + sp.b * (u + w[k])
+        x_h = sh.A @ x_h + sh.b * u
+        x_f = sf.A @ x_f + sf.b * y_hat
+        x_c = sc.A @ x_c + sc.b * e
+        x_v = sv.A @ x_v + sv.b * r[k]
         if design.d_hat:
             ybuf.pop(0)
             ybuf.append(y_raw)
@@ -110,8 +108,7 @@ def _reference_packetized(scenario):
     return SimTrace(k=np.arange(last), r=rec["r"][:last], u=rec["u"][:last],
                     y=rec["y"][:last], y_hat=rec["y_hat"][:last],
                     y_F=rec["y_F"][:last], y_H=rec["y_H"][:last],
-                    selected_index=sel[:last],
-                    diverged=diverged, divergence_step=div_step)
+                    selected_index=sel[:last], divergence_step=div_step)
 
 
 def _differential_cases():
@@ -349,6 +346,16 @@ def test_divergence_is_recorded():
     assert np.max(np.abs(out.y)) > 1e6
     # nothing past the recorded step is meaningful
     assert out.divergence_step <= 1300
+
+
+def test_divergence_flag_follows_the_divergence_step():
+    rec = np.zeros(3)
+    records = dict(k=np.arange(3), r=rec, u=rec, y=rec, y_hat=rec, y_F=rec,
+                   y_H=rec, selected_index=np.full(3, -1))
+    assert SimTrace(**records, divergence_step=2).diverged
+    assert not SimTrace(**records).diverged
+    with pytest.raises(TypeError):
+        SimTrace(**records, diverged=True)
 
 
 def test_scenario_validation():
